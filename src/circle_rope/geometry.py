@@ -28,7 +28,7 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Token grid of an image: `width` columns by `height` rows."""
+    """Grid of image tokens: `width` columns by `height` rows."""
 
     width: int
     height: int
@@ -49,8 +49,8 @@ class FixedRadius:
     value: float
 
     def __post_init__(self) -> None:
-        if not self.value > 0:
-            raise GeometryError(f"fixed radius must be positive, got {self.value}")
+        if not (self.value > 0 and np.isfinite(self.value)):
+            raise GeometryError(f"fixed radius must be positive and finite, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class AutoRadius:
     k: float
 
     def __post_init__(self) -> None:
-        if not self.k > 0:
-            raise GeometryError(f"auto radius factor must be positive, got {self.k}")
+        if not (self.k > 0 and np.isfinite(self.k)):
+            raise GeometryError(f"auto radius factor must be positive and finite, got {self.k}")
 
 
 RadiusStrategy = Union[FixedRadius, AutoRadius]
@@ -179,7 +179,10 @@ def compute_radius(centered: np.ndarray, strategy: RadiusStrategy) -> float:
     max_norm = float(np.linalg.norm(centered[:, 1:3], axis=1).max())
     if max_norm == 0.0:
         raise GeometryError("degenerate radius")
-    return strategy.k * max_norm
+    radius = strategy.k * max_norm
+    if not np.isfinite(radius):
+        raise GeometryError(f"auto radius {strategy.k} * {max_norm} is not finite")
+    return radius
 
 
 def map_to_circle(angles: np.ndarray, radius: float) -> np.ndarray:

@@ -131,7 +131,7 @@ def run_experiment(
     """
     sequences = {scheme: assign(scheme, segments, config) for scheme in schemes}
     any_seq = next(iter(sequences.values()))
-    n_text = sum(1 for t in any_seq.tokens if t.modality == TEXT)
+    n_text = len(any_seq.indices(TEXT))
     if n_text == 0 or len(any_seq) == n_text:
         raise ValueError("experiment layout needs both text and image tokens")
 

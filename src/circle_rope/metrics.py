@@ -1,4 +1,4 @@
-"""Per-Token Distance: measures how coupled text and image indices are.
+"""Per-token distance (PTD): measures how coupled text and image indices are.
 
 For each text token, take its index-space distances to all image tokens,
 then the mean absolute deviation of that row from its own mean; PTD is the

@@ -9,11 +9,11 @@ onto the projected circle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .geometry import CipConfig, GridSpec, cip_transform, dual_frame_fusion
+from .geometry import CipConfig, GridSpec, cip_transform, dual_frame_fusion, grid_coords
 
 
 class LayoutError(ValueError):
@@ -28,18 +28,10 @@ class TextSegment:
         if self.length < 1:
             raise LayoutError(f"text run length must be >= 1, got {self.length}")
 
-    @property
-    def num_tokens(self) -> int:
-        return self.length
-
 
 @dataclass(frozen=True)
 class ImageSegment:
     grid: GridSpec
-
-    @property
-    def num_tokens(self) -> int:
-        return self.grid.num_tokens
 
 
 Segment = Union[TextSegment, ImageSegment]
@@ -49,25 +41,21 @@ IMAGE = "image"
 
 
 @dataclass(frozen=True)
-class Token:
-    modality: str
-    segment_id: int
-    index: np.ndarray
-
-
-@dataclass(frozen=True)
 class IndexedSequence:
-    tokens: tuple[Token, ...]
+    """Columnar token indices: row k of `index` (N, 3) is token k's index and
+    `modality[k]` (N,) its modality, TEXT or IMAGE, in sequence order."""
+
+    index: np.ndarray
+    modality: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.index)
 
     def indices(self, modality: str | None = None) -> np.ndarray:
-        """Stacked (N, 3) index array, optionally filtered by modality."""
-        rows = [t.index for t in self.tokens if modality is None or t.modality == modality]
-        if not rows:
-            return np.zeros((0, 3))
-        return np.stack(rows)
+        """(N, 3) index array, optionally filtered by modality."""
+        if modality is None:
+            return self.index
+        return self.index[self.modality == modality]
 
 
 def parse_layout(text: str) -> list[Segment]:
@@ -95,76 +83,64 @@ def parse_layout(text: str) -> list[Segment]:
     return segments
 
 
-def _scalar_tokens(segment_id: int, modality: str, values: range) -> list[Token]:
-    return [
-        Token(modality, segment_id, np.array([float(s)] * 3))
-        for s in values
-    ]
+def _line(start: int, n: int) -> np.ndarray:
+    """Scalar indices (s, s, s) for s = start, ..., start + n - 1."""
+    return np.repeat(np.arange(start, start + n, dtype=float)[:, None], 3, axis=1)
+
+
+def _walk(segments: list[Segment],
+          image_block: Callable[[GridSpec, int], tuple[np.ndarray, int]]) -> IndexedSequence:
+    """Index a layout on one shared counter. Each text token takes the
+    counter's scalar index and advances it by one; `image_block(grid, counter)`
+    returns an image's (n, 3) indices in grid_coords order and the counter
+    value after the image."""
+    blocks, kinds = [], []
+    counter = 0
+    for seg in segments:
+        if isinstance(seg, TextSegment):
+            kind, block = TEXT, _line(counter, seg.length)
+            counter += seg.length
+        else:
+            kind, (block, counter) = IMAGE, image_block(seg.grid, counter)
+        blocks.append(block)
+        kinds.append(kind)
+    index = np.concatenate(blocks) if blocks else np.zeros((0, 3))
+    modality = np.repeat(np.array(kinds, dtype=str), [len(block) for block in blocks])
+    index.flags.writeable = modality.flags.writeable = False
+    return IndexedSequence(index, modality)
 
 
 def assign_hard(segments: list[Segment]) -> IndexedSequence:
     """Consecutive scalar index per token, images flattened row-major."""
-    tokens: list[Token] = []
-    counter = 0
-    for seg_id, seg in enumerate(segments):
-        modality = TEXT if isinstance(seg, TextSegment) else IMAGE
-        tokens.extend(_scalar_tokens(seg_id, modality, range(counter, counter + seg.num_tokens)))
-        counter += seg.num_tokens
-    return IndexedSequence(tuple(tokens))
+    def block(grid: GridSpec, base: int) -> tuple[np.ndarray, int]:
+        return _line(base, grid.num_tokens), base + grid.num_tokens
+    return _walk(segments, block)
 
 
 def assign_unordered(segments: list[Segment]) -> IndexedSequence:
     """Scalar counter advancing by one per text token and one per whole image."""
-    tokens: list[Token] = []
-    counter = 0
-    for seg_id, seg in enumerate(segments):
-        if isinstance(seg, TextSegment):
-            tokens.extend(_scalar_tokens(seg_id, TEXT, range(counter, counter + seg.length)))
-            counter += seg.length
-        else:
-            index = np.array([float(counter)] * 3)
-            tokens.extend(Token(IMAGE, seg_id, index.copy()) for _ in range(seg.num_tokens))
-            counter += 1
-    return IndexedSequence(tuple(tokens))
+    def block(grid: GridSpec, base: int) -> tuple[np.ndarray, int]:
+        return np.full((grid.num_tokens, 3), float(base)), base + 1
+    return _walk(segments, block)
 
 
 def assign_spatial(segments: list[Segment]) -> IndexedSequence:
     """Multi-axis indices: text (t,t,t); image token (row j, col i) gets
     (b, b+j, b+i) where b is the counter at the image start. The counter
     resumes one past the maximum component used, b + max(w, h)."""
-    tokens: list[Token] = []
-    counter = 0
-    for seg_id, seg in enumerate(segments):
-        if isinstance(seg, TextSegment):
-            tokens.extend(_scalar_tokens(seg_id, TEXT, range(counter, counter + seg.length)))
-            counter += seg.length
-        else:
-            base = counter
-            grid = seg.grid
-            for j in range(grid.height):
-                for i in range(grid.width):
-                    tokens.append(Token(IMAGE, seg_id, np.array([base, base + j, base + i], dtype=float)))
-            counter = base + max(grid.width, grid.height)
-    return IndexedSequence(tuple(tokens))
+    def block(grid: GridSpec, base: int) -> tuple[np.ndarray, int]:
+        return grid_coords(grid) + base, base + max(grid.width, grid.height)
+    return _walk(segments, block)
 
 
 def assign_circle(segments: list[Segment], config: CipConfig) -> IndexedSequence:
     """Spatial text indices; image grids replaced by fused circle coordinates
     translated so the circle center sits at (b, b, b) on the text line."""
-    tokens: list[Token] = []
-    counter = 0
-    for seg_id, seg in enumerate(segments):
-        if isinstance(seg, TextSegment):
-            tokens.extend(_scalar_tokens(seg_id, TEXT, range(counter, counter + seg.length)))
-            counter += seg.length
-        else:
-            base = counter
-            grid = seg.grid
-            projected, centered = cip_transform(grid, config)
-            fused = dual_frame_fusion(projected, centered, config.beta) + float(base)
-            tokens.extend(Token(IMAGE, seg_id, row) for row in fused)
-            counter = base + max(grid.width, grid.height)
-    return IndexedSequence(tuple(tokens))
+    def block(grid: GridSpec, base: int) -> tuple[np.ndarray, int]:
+        projected, centered = cip_transform(grid, config)
+        fused = dual_frame_fusion(projected, centered, config.beta) + float(base)
+        return fused, base + max(grid.width, grid.height)
+    return _walk(segments, block)
 
 
 SCHEME_NAMES = ("hard", "unordered", "spatial", "circle")

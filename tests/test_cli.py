@@ -28,6 +28,12 @@ class TestParseRadius:
         with pytest.raises(UsageError):
             parse_radius("circle:9")
 
+    @pytest.mark.parametrize("text", ["inf", "auto:inf", "fixed:1e309"])
+    def test_non_finite(self, text):
+        from circle_rope.cli import UsageError
+        with pytest.raises(UsageError, match="finite"):
+            parse_radius(text)
+
 
 class TestPtdCommand:
     def test_paper_table(self):
@@ -54,6 +60,11 @@ class TestPtdCommand:
     def test_bad_layout_exit_2(self):
         code, _ = run_cli("ptd", "--layout", "i3x3,q5")
         assert code == 2
+
+    def test_radius_overflow_exit_2(self):
+        # k is finite but k * max norm of a 64x64 grid overflows to inf
+        code, text = run_cli("ptd", "--layout", "i64x64,t5", "--radius", "auto:1e308")
+        assert (code, text) == (2, "")
 
 
 class TestProjectCommand:

@@ -163,6 +163,15 @@ class TestComputeRadius:
         with pytest.raises(GeometryError, match="degenerate radius"):
             compute_radius(centered_grid(1, 1), AutoRadius(1.0))
 
+    @pytest.mark.parametrize("resolve", [
+        lambda: compute_radius(centered_grid(3, 3), FixedRadius(math.inf)),
+        lambda: compute_radius(centered_grid(3, 3), AutoRadius(math.inf)),
+        lambda: compute_radius(centered_grid(64, 64), AutoRadius(1e308)),
+    ], ids=["fixed-inf", "auto-inf", "auto-overflow"])
+    def test_non_finite_rejected(self, resolve):
+        with pytest.raises(GeometryError, match="finite"):
+            resolve()
+
 
 class TestMapToCircle:
     def test_angle_zero(self):

@@ -45,56 +45,56 @@ class TestParseLayout:
 class TestAssignHard:
     def test_image_then_text(self):
         seq = assign_hard([img(3, 3), TextSegment(5)])
-        scalars = [t.index[0] for t in seq.tokens]
+        scalars = seq.indices()[:, 0].tolist()
         assert scalars == list(range(14))
-        assert [t.modality for t in seq.tokens[:9]] == [IMAGE] * 9
-        assert [t.modality for t in seq.tokens[9:]] == [TEXT] * 5
+        assert seq.modality[:9].tolist() == [IMAGE] * 9
+        assert seq.modality[9:].tolist() == [TEXT] * 5
 
     def test_text_only(self):
         seq = assign_hard([TextSegment(2)])
-        assert [t.index.tolist() for t in seq.tokens] == [[0, 0, 0], [1, 1, 1]]
+        assert seq.indices().tolist() == [[0, 0, 0], [1, 1, 1]]
 
     def test_sandwich(self):
         seq = assign_hard([TextSegment(1), img(2, 2), TextSegment(1)])
-        assert [t.index[0] for t in seq.tokens] == [0, 1, 2, 3, 4, 5]
+        assert seq.indices()[:, 0].tolist() == [0, 1, 2, 3, 4, 5]
 
 
 class TestAssignUnordered:
     def test_image_then_text(self):
         seq = assign_unordered([img(3, 3), TextSegment(5)])
-        assert [t.index[0] for t in seq.tokens] == [0] * 9 + [1, 2, 3, 4, 5]
+        assert seq.indices()[:, 0].tolist() == [0] * 9 + [1, 2, 3, 4, 5]
 
     def test_text_then_image(self):
         seq = assign_unordered([TextSegment(1), img(2, 2)])
-        assert [t.index[0] for t in seq.tokens] == [0, 1, 1, 1, 1]
+        assert seq.indices()[:, 0].tolist() == [0, 1, 1, 1, 1]
 
     def test_two_images(self):
         seq = assign_unordered([img(2, 2), img(2, 2)])
-        assert [t.index[0] for t in seq.tokens] == [0] * 4 + [1] * 4
+        assert seq.indices()[:, 0].tolist() == [0] * 4 + [1] * 4
 
 
 class TestAssignSpatial:
     def test_image_then_text(self):
         seq = assign_spatial([img(3, 3), TextSegment(5)])
-        image_idx = [t.index.tolist() for t in seq.tokens[:9]]
+        image_idx = seq.indices()[:9].tolist()
         assert image_idx == [[0, j, i] for j in range(3) for i in range(3)]
-        text_idx = [t.index.tolist() for t in seq.tokens[9:]]
+        text_idx = seq.indices()[9:].tolist()
         assert text_idx == [[t, t, t] for t in range(3, 8)]
 
     def test_text_then_image(self):
         seq = assign_spatial([TextSegment(2), img(2, 2)])
-        assert seq.tokens[0].index.tolist() == [0, 0, 0]
-        assert seq.tokens[1].index.tolist() == [1, 1, 1]
-        image_idx = [t.index.tolist() for t in seq.tokens[2:]]
+        assert seq.indices()[0].tolist() == [0, 0, 0]
+        assert seq.indices()[1].tolist() == [1, 1, 1]
+        image_idx = seq.indices()[2:].tolist()
         assert image_idx == [[2, 2 + j, 2 + i] for j in range(2) for i in range(2)]
 
     def test_counter_after_image(self):
         seq = assign_spatial([TextSegment(2), img(2, 2), TextSegment(1)])
-        assert seq.tokens[-1].index.tolist() == [4, 4, 4]
+        assert seq.indices()[-1].tolist() == [4, 4, 4]
 
     def test_single_pixel_image(self):
         seq = assign_spatial([img(1, 1)])
-        assert seq.tokens[0].index.tolist() == [0, 0, 0]
+        assert seq.indices()[0].tolist() == [0, 0, 0]
 
     def test_integer_indices(self):
         for builder in (assign_hard, assign_unordered, assign_spatial):
@@ -137,7 +137,7 @@ class TestAssignCircle:
     def test_counter_advances_like_spatial(self):
         config = CipConfig(radius=FixedRadius(10.0), beta=1.0)
         seq = assign_circle([img(3, 3), TextSegment(1)], config)
-        assert seq.tokens[-1].index.tolist() == [3, 3, 3]
+        assert seq.indices()[-1].tolist() == [3, 3, 3]
 
 
 class TestSchemeProperties:
@@ -173,8 +173,8 @@ class TestSchemeProperties:
         config = CipConfig(radius=FixedRadius(10.0), beta=1.0)
         seq = assign_circle([img(3, 3), TextSegment(4), img(2, 2)], config)
         text = seq.indices(TEXT)
-        first = np.stack([t.index for t in seq.tokens if t.modality == IMAGE and t.segment_id == 0])
-        second = np.stack([t.index for t in seq.tokens if t.modality == IMAGE and t.segment_id == 2])
+        image = seq.indices(IMAGE)
+        first, second = image[:9], image[9:]
         for txt in text:
             d1 = np.linalg.norm(first - txt, axis=1)
             d2 = np.linalg.norm(second - txt, axis=1)
