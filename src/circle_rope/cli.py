@@ -39,8 +39,12 @@ def parse_radius(text: str) -> FixedRadius | AutoRadius:
         raise UsageError(f"bad radius {text!r}: {exc}") from None
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Read key=value lines; `#` starts a comment. Flags override these values."""
+def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str, str]:
+    """Read key=value lines; `#` starts a comment. Flags override these values.
+
+    Each key must name an option of some subcommand (by its dest), and a value
+    must be one of that option's choices, if it has any.
+    """
     values: dict[str, str] = {}
     try:
         with open(path) as fh:
@@ -51,7 +55,14 @@ def load_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"bad config line {line!r} in {path}")
                 key, val = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = val.strip().strip('"')
+                key, val = key.strip().replace("-", "_"), val.strip().strip('"')
+                if key not in options:
+                    raise UsageError(f"unknown config key {key!r} in {path}")
+                choices = options[key].choices
+                if choices is not None and val not in choices:
+                    raise UsageError(f"bad config value {key}={val!r} in {path} "
+                                     f"(choose from {', '.join(choices)})")
+                values[key] = val
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     return values
@@ -216,6 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The options of every subcommand by dest: the keys a config file may set."""
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action for sub in subcommands.choices.values()
+            for action in sub._actions if action.option_strings and action.dest != "help"}
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
@@ -224,7 +242,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args._config_values = load_config_file(args.config) if args.config else {}
+        args._config_values = load_config_file(args.config, _config_options(parser)) \
+            if args.config else {}
         return args.func(args, out)
     except (UsageError, LayoutError, GeometryError, MetricError, RopeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -90,22 +90,21 @@ class ExperimentReport:
     stats: dict[str, dict[int, LayerStats]]
 
     def as_dict(self) -> dict:
-        return {
-            scheme: {str(layer): s.as_dict() for layer, s in layers.items()}
-            for scheme, layers in self.stats.items()
-        }
+        """scheme -> layer string -> stats dict. Layers holding the same
+        LayerStats share one dict, so mutating one mutates them all."""
+        distinct = {id(s): s for layers in self.stats.values() for s in layers.values()}
+        dicts = {key: s.as_dict() for key, s in distinct.items()}
+        names = {layer: str(layer) for layers in self.stats.values() for layer in layers}
+        return {scheme: {names[layer]: dicts[id(s)] for layer, s in layers.items()}
+                for scheme, layers in self.stats.items()}
 
 
 def _layer_stats(seq: IndexedSequence, queries: np.ndarray, key: np.ndarray,
                  params: RotaryParams) -> LayerStats:
-    text_idx = seq.indices(TEXT)
     image_idx = seq.indices(IMAGE)
-    rotated_keys = np.stack(
-        [apply_rotary(key, rotation_angles(idx, params)) for idx in image_idx]
-    )
-    rotated_queries = np.stack(
-        [apply_rotary(q, rotation_angles(idx, params)) for q, idx in zip(queries, text_idx)]
-    )
+    rotated_queries = apply_rotary(queries, rotation_angles(seq.indices(TEXT), params))
+    rotated_keys = apply_rotary(np.broadcast_to(key, (len(image_idx), len(key))),
+                                rotation_angles(image_idx, params))
     logits = rotated_queries @ rotated_keys.T
     spread = float((logits.max(axis=1) - logits.min(axis=1)).max())
     return LayerStats(
@@ -129,8 +128,11 @@ def run_experiment(
     One random query per text token, one shared key for all image tokens;
     all randomness comes from `seed`.
     """
-    sequences = {scheme: assign(scheme, segments, config) for scheme in schemes}
-    any_seq = next(iter(sequences.values()))
+    # Circle's "original" layers run on the spatial indices, so they share
+    # the spatial scheme's stats: the cache is keyed by index assignment.
+    needed = [*schemes, "spatial"] if "circle" in schemes else schemes
+    sequences = {scheme: assign(scheme, segments, config) for scheme in dict.fromkeys(needed)}
+    any_seq = sequences[schemes[0]]
     n_text = len(any_seq.indices(TEXT))
     if n_text == 0 or len(any_seq) == n_text:
         raise ValueError("experiment layout needs both text and image tokens")
@@ -140,19 +142,16 @@ def run_experiment(
     queries = rng.standard_normal((n_text, params.head_dim)) * scale
     key = rng.standard_normal(params.head_dim) * scale
 
-    spatial_seq = assign("spatial", segments, config) if "circle" in schemes else None
+    cache: dict[str, LayerStats] = {}
     stats: dict[str, dict[int, LayerStats]] = {}
-    for scheme, seq in sequences.items():
+    for scheme in schemes:
         per_layer: dict[int, LayerStats] = {}
-        cache: dict[Variant, LayerStats] = {}
         for layer in range(1, schedule.num_layers + 1):
-            variant = schedule.variant(layer)
-            if scheme == "circle" and variant is Variant.ORIGINAL:
-                active, kind = spatial_seq, Variant.ORIGINAL
-            else:
-                active, kind = seq, Variant.CIRCLE
-            if kind not in cache:
-                cache[kind] = _layer_stats(active, queries, key, params)
-            per_layer[layer] = cache[kind]
+            active = scheme
+            if scheme == "circle" and schedule.variant(layer) is Variant.ORIGINAL:
+                active = "spatial"
+            if active not in cache:
+                cache[active] = _layer_stats(sequences[active], queries, key, params)
+            per_layer[layer] = cache[active]
         stats[scheme] = per_layer
     return ExperimentReport(stats)

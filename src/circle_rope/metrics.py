@@ -8,6 +8,7 @@ sits at the same distance from every image token.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,21 +56,33 @@ def distance_matrix(seq: IndexedSequence) -> DistanceMatrix:
         values = np.abs(text[:, :1] - image[:, 0][None, :])
         convention = "scalar"
     elif _all_replicated(text) and np.all(image[:, 0] == image[0, 0]):
-        diffs = text[:, None, 1:] - image[None, :, 1:]
-        values = np.linalg.norm(diffs, axis=2)
+        values = _euclidean(text, image, (1, 2))
         convention = "planar"
     else:
-        diffs = text[:, None, :] - image[None, :, :]
-        values = np.linalg.norm(diffs, axis=2)
+        values = _euclidean(text, image, (0, 1, 2))
         convention = "3d"
     return DistanceMatrix(values=values, convention=convention)
+
+
+def _euclidean(text: np.ndarray, image: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """(T, I) Euclidean distances over `axes`, summing squares axis by axis
+    in one buffer: the same order as a norm over a (T, I, len(axes)) array."""
+    values = np.zeros((len(text), len(image)))
+    diff = np.empty_like(values)
+    for axis in axes:
+        np.subtract(text[:, axis, None], image[None, :, axis], out=diff)
+        values += np.multiply(diff, diff, out=diff)
+    return np.sqrt(values, out=values)
 
 
 def ptd(matrix: DistanceMatrix) -> float:
     """Mean absolute deviation of each row from its row mean, averaged over all entries."""
     values = matrix.values
     row_means = values.mean(axis=1, keepdims=True)
-    return float(np.abs(values - row_means).mean())
+    result = float(np.abs(values - row_means).mean())
+    if not math.isfinite(result):
+        raise MetricError("PTD is not finite: index distances overflow float64")
+    return result
 
 
 def ptd_of(seq: IndexedSequence) -> float:

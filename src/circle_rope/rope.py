@@ -45,14 +45,18 @@ class RotaryParams:
 
 
 def rotation_angles(index: np.ndarray, params: RotaryParams) -> np.ndarray:
-    """Rotation angle per dimension pair for a 3-component index."""
+    """Rotation angle per dimension pair for (..., 3) indices: (..., head_dim/2)."""
     index = np.asarray(index, dtype=float)
     axes, freqs = params.frequencies()
-    return index[axes] * freqs
+    return index[..., axes] * freqs
 
 
 def apply_rotary(vec: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rotate consecutive dimension pairs (v[2j], v[2j+1]) by angles[j]."""
+    """Rotate consecutive dimension pairs (v[2j], v[2j+1]) by angles[j].
+
+    The output is always a fresh C-contiguous array, also for a broadcast
+    `vec`, so a matmul over rotated rows sums in the same order either way.
+    """
     vec = np.asarray(vec, dtype=float)
     angles = np.asarray(angles, dtype=float)
     if vec.shape[-1] != 2 * angles.shape[-1]:
@@ -61,7 +65,7 @@ def apply_rotary(vec: np.ndarray, angles: np.ndarray) -> np.ndarray:
     sin = np.sin(angles)
     even = vec[..., 0::2]
     odd = vec[..., 1::2]
-    out = np.empty_like(vec)
+    out = np.empty(vec.shape)
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out

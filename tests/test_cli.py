@@ -66,6 +66,12 @@ class TestPtdCommand:
         code, text = run_cli("ptd", "--layout", "i64x64,t5", "--radius", "auto:1e308")
         assert (code, text) == (2, "")
 
+    def test_non_finite_ptd_exit_2(self):
+        # the radius is finite, but squared circle distances overflow to inf
+        code, text = run_cli("ptd", "--layout", "i8x8,t5", "--radius", "fixed:1e160",
+                             "--format", "csv")
+        assert (code, text) == (2, "")
+
 
 class TestProjectCommand:
     def test_circle2d_stage(self):
@@ -134,6 +140,25 @@ class TestConfigAndEnv:
         code, text = run_cli("ptd", "--layout", "i3x3,t5", "--schemes", "circle",
                              "--config", str(cfg), "--beta", "0", "--format", "csv")
         assert float(text.strip().splitlines()[1].split(",")[1]) > 0.1  # flag overrides file
+
+    def test_config_unknown_key_exit_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpah=0.9\n")
+        code, text = run_cli("ptd", "--layout", "i3x3,t5", "--config", str(cfg))
+        assert (code, text) == (2, "")
+
+    def test_config_value_outside_choices_exit_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=xml\n")
+        code, text = run_cli("ptd", "--layout", "i3x3,t5", "--config", str(cfg))
+        assert (code, text) == (2, "")
+
+    def test_config_key_of_another_subcommand_accepted(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("layers = 6\nformat = csv\n")
+        code, text = run_cli("ptd", "--layout", "i3x3,t5", "--config", str(cfg))
+        assert code == 0
+        assert text.startswith("scheme,ptd,distance_convention\n")
 
     def test_seed_env_fallback(self):
         script = (

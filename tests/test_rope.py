@@ -61,6 +61,14 @@ class TestApplyRotary:
         with pytest.raises(RopeError):
             apply_rotary(np.zeros(6), np.zeros(2))
 
+    def test_broadcast_input_gives_c_contiguous_output(self):
+        # a stride-0 input must not leak its layout into the result, or a
+        # matmul over the rotated rows sums in another order
+        key = np.broadcast_to(np.arange(8, dtype=float), (5, 8))
+        out = apply_rotary(key, np.ones((5, 4)))
+        assert out.flags.c_contiguous
+        assert out.strides == (64, 8)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_norm_preserved(self, seed):
         rng = np.random.default_rng(seed)
