@@ -13,7 +13,8 @@ import sys
 from .geometry import AutoRadius, CipConfig, FixedRadius, GeometryError, cip_transform, \
     dual_frame_fusion, grid_coords, centralize, spatial_origin_angles, grid_index_angles, \
     mix_angles, compute_radius, map_to_circle
-from .harness import RotaryParams, ScheduleStrategy, make_schedule, run_experiment
+from .harness import HarnessError, RotaryParams, ScheduleStrategy, make_schedule, \
+    run_experiment
 from .metrics import MetricError, distance_matrix, ptd
 from .rope import RopeError
 from .schemes import ImageSegment, LayoutError, SCHEME_NAMES, assign, parse_layout
@@ -75,7 +76,10 @@ def _resolve(args: argparse.Namespace, name: str, default, cast=str):
         return flag
     file_values = getattr(args, "_config_values", {})
     if name in file_values:
-        return cast(file_values[name])
+        try:
+            return cast(file_values[name])
+        except ValueError as exc:
+            raise UsageError(f"bad config value {name}={file_values[name]!r}: {exc}") from None
     return default
 
 
@@ -84,7 +88,10 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     if seed is not None:
         return int(seed)
     env = os.environ.get("CIRCLE_ROPE_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise UsageError(f"bad CIRCLE_ROPE_SEED {env!r}") from None
 
 
 def _cip_config(args: argparse.Namespace) -> CipConfig:
@@ -245,10 +252,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args._config_values = load_config_file(args.config, _config_options(parser)) \
             if args.config else {}
         return args.func(args, out)
-    except (UsageError, LayoutError, GeometryError, MetricError, RopeError, ValueError) as exc:
+    except (UsageError, LayoutError, GeometryError, MetricError, RopeError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,10 @@ from .rope import RotaryParams, apply_rotary, rotation_angles
 from .schemes import IMAGE, TEXT, IndexedSequence, Segment, assign
 
 
+class HarnessError(ValueError):
+    pass
+
+
 class Variant(str, Enum):
     ORIGINAL = "original"
     CIRCLE = "circle"
@@ -52,7 +56,7 @@ def make_schedule(num_layers: int, strategy: ScheduleStrategy) -> LayerSchedule:
     """Build a schedule. Alternating puts the original indices on odd layers
     and circle indices on even layers; upper/lower split at ceil(n/2)."""
     if num_layers < 1:
-        raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+        raise HarnessError(f"num_layers must be >= 1, got {num_layers}")
     split = math.ceil(num_layers / 2)
     assignment = []
     for layer in range(1, num_layers + 1):
@@ -65,7 +69,7 @@ def make_schedule(num_layers: int, strategy: ScheduleStrategy) -> LayerSchedule:
         elif strategy is ScheduleStrategy.ALTERNATING:
             variant = Variant.CIRCLE if layer % 2 == 0 else Variant.ORIGINAL
         else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+            raise HarnessError(f"unknown strategy {strategy!r}")
         assignment.append(variant)
     return LayerSchedule(tuple(assignment))
 
@@ -135,7 +139,7 @@ def run_experiment(
     any_seq = sequences[schemes[0]]
     n_text = len(any_seq.indices(TEXT))
     if n_text == 0 or len(any_seq) == n_text:
-        raise ValueError("experiment layout needs both text and image tokens")
+        raise HarnessError("experiment layout needs both text and image tokens")
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(params.head_dim)

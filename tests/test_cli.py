@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from circle_rope import cli
 from circle_rope.cli import main, parse_radius
 from circle_rope.geometry import AutoRadius, FixedRadius
 
@@ -72,6 +73,14 @@ class TestPtdCommand:
                              "--format", "csv")
         assert (code, text) == (2, "")
 
+    def test_non_finite_ptd_stderr_is_one_line(self):
+        # numpy's overflow warnings must not reach stderr ahead of the error
+        result = subprocess.run([sys.executable, "-m", "circle_rope.cli", "ptd", "--layout",
+                                 "i8x8,t5", "--radius", "fixed:1e160", "--format", "csv"],
+                                capture_output=True, text=True, env=_base_env())
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: PTD is not finite: index distances overflow float64\n"
+
 
 class TestProjectCommand:
     def test_circle2d_stage(self):
@@ -128,6 +137,12 @@ class TestAttnCommand:
                           "--head-dim", "8")
         assert code == 2
 
+    @pytest.mark.parametrize("layout, layers", [("i3x3,t5", "0"), ("i3x3", "2")],
+                             ids=["zero-layers", "no-text"])
+    def test_harness_error_exit_2(self, layout, layers):
+        code, text = run_cli("attn", "--layout", layout, "--layers", layers)
+        assert (code, text) == (2, "")
+
 
 class TestConfigAndEnv:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -160,6 +175,19 @@ class TestConfigAndEnv:
         assert code == 0
         assert text.startswith("scheme,ptd,distance_convention\n")
 
+    @pytest.mark.parametrize("line", ["layers=abc", "alpha=x", "beta=x", "radius=abc",
+                                      "seed=1.5", "head-dim=abc"])
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, text = run_cli("attn", "--layout", "i3x3,t5", "--config", str(cfg))
+        assert (code, text) == (2, "")
+
+    def test_bad_seed_env_exit_2(self, monkeypatch):
+        monkeypatch.setenv("CIRCLE_ROPE_SEED", "x")
+        code, text = run_cli("attn", "--layout", "i3x3,t5", "--layers", "1")
+        assert (code, text) == (2, "")
+
     def test_seed_env_fallback(self):
         script = (
             "import sys; from circle_rope.cli import main; "
@@ -178,3 +206,13 @@ class TestConfigAndEnv:
 def _base_env():
     import os
     return {k: v for k, v in os.environ.items() if k != "CIRCLE_ROPE_SEED"}
+
+
+def test_internal_value_error_exit_1(monkeypatch):
+    # a bare ValueError is a bug, not a usage error
+    def broken(args, out):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "cmd_ptd", broken)
+    code, text = run_cli("ptd", "--layout", "i3x3,t5")
+    assert (code, text) == (1, "")
