@@ -17,11 +17,23 @@ from .harness import HarnessError, RotaryParams, ScheduleStrategy, make_schedule
     run_experiment
 from .metrics import MetricError, distance_matrix, ptd
 from .rope import RopeError
-from .schemes import ImageSegment, LayoutError, SCHEME_NAMES, assign, parse_layout
+from .schemes import ImageSegment, LayoutError, SCHEME_NAMES, Segment, TextSegment, assign, \
+    parse_layout
+
+# Size limits, checked before anything of that size is allocated; beyond them
+# the CLI exits 2. Tokens bound the index arrays of every subcommand.
+# Text x image cells bound PTD time (PTD holds O(T + I) memory, but visits
+# every cell) and the (T, I) float64 logit table of an attention layer, 512 MiB
+# at the limit. Layers bound the attn report, head_dim its rotation arrays.
+MAX_TOKENS = 1 << 18
+MAX_CELLS = 1 << 26
+MAX_LAYERS = 1 << 10
+MAX_HEAD_DIM = 1 << 9
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Bad input to the CLI. Also an ArgumentTypeError, so that argparse
+    reports the message of a `type=` converter that raises it."""
 
 
 def _fmt(value: float) -> str:
@@ -94,13 +106,30 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         raise UsageError(f"bad CIRCLE_ROPE_SEED {env!r}") from None
 
 
+def _layout(args: argparse.Namespace, pairs: bool = True) -> list[Segment]:
+    """The --layout segments, within MAX_TOKENS and, if `pairs`, MAX_CELLS."""
+    segments = parse_layout(args.layout)
+    text = sum(seg.length for seg in segments if isinstance(seg, TextSegment))
+    image = sum(seg.grid.num_tokens for seg in segments if isinstance(seg, ImageSegment))
+    if text + image > MAX_TOKENS:
+        raise UsageError(f"layout has {text + image} tokens, over the limit of {MAX_TOKENS}")
+    if pairs and text * image > MAX_CELLS:
+        raise UsageError(f"layout has {text} x {image} = {text * image} text-image pairs, "
+                         f"over the limit of {MAX_CELLS}")
+    return segments
+
+
+def _bounded(args: argparse.Namespace, name: str, default: int, limit: int) -> int:
+    value = int(_resolve(args, name, default, int))
+    if value > limit:
+        raise UsageError(f"{name.replace('_', '-')} {value} is over the limit of {limit}")
+    return value
+
+
 def _cip_config(args: argparse.Namespace) -> CipConfig:
-    radius = _resolve(args, "radius", FixedRadius(10.0), parse_radius)
-    if isinstance(radius, str):
-        radius = parse_radius(radius)
     return CipConfig(
         alpha=float(_resolve(args, "alpha", 0.5, float)),
-        radius=radius,
+        radius=_resolve(args, "radius", FixedRadius(10.0), parse_radius),
         beta=float(_resolve(args, "beta", 0.1, float)),
     )
 
@@ -121,7 +150,7 @@ def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
 
 
 def cmd_ptd(args: argparse.Namespace, out) -> int:
-    segments = parse_layout(args.layout)
+    segments = _layout(args)
     config = _cip_config(args)
     schemes = _resolve(args, "schemes", "hard,unordered,spatial,circle").split(",")
     rows = []
@@ -140,7 +169,7 @@ _STAGES = ("centered", "circle2d", "projected", "fused")
 
 
 def cmd_project(args: argparse.Namespace, out) -> int:
-    segments = parse_layout(args.layout)
+    segments = _layout(args, pairs=False)
     config = _cip_config(args)
     stage = args.stage
     if stage not in _STAGES:
@@ -171,9 +200,9 @@ def cmd_project(args: argparse.Namespace, out) -> int:
 
 
 def cmd_attn(args: argparse.Namespace, out) -> int:
-    segments = parse_layout(args.layout)
+    segments = _layout(args)
     config = _cip_config(args)
-    head_dim = int(_resolve(args, "head_dim", 64, int))
+    head_dim = _bounded(args, "head_dim", 64, MAX_HEAD_DIM)
     sections_text = _resolve(args, "sections", None)
     if sections_text is None:
         half = head_dim // 2
@@ -188,7 +217,7 @@ def cmd_attn(args: argparse.Namespace, out) -> int:
         sections = parts
     params = RotaryParams(head_dim=head_dim, sections=sections)
     strategy = ScheduleStrategy(_resolve(args, "schedule", "alt"))
-    schedule = make_schedule(int(_resolve(args, "layers", 36, int)), strategy)
+    schedule = make_schedule(_bounded(args, "layers", 36, MAX_LAYERS), strategy)
     schemes = tuple(s.strip() for s in _resolve(args, "schemes",
                                                 "hard,unordered,spatial,circle").split(","))
     for scheme in schemes:
@@ -207,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--layout", required=True, help="e.g. i3x3,t5")
         p.add_argument("--alpha", type=float)
-        p.add_argument("--radius", help="fixed:<R>, auto:<k>, or bare number")
+        p.add_argument("--radius", type=parse_radius, help="fixed:<R>, auto:<k>, or bare number")
         p.add_argument("--beta", type=float)
         p.add_argument("--format", choices=("csv", "json", "table"))
         p.add_argument("--config", help="key=value config file; flags override")

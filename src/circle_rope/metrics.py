@@ -9,7 +9,6 @@ sits at the same distance from every image token.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,27 +19,84 @@ class MetricError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+# Cells per block: 2**15 float64s are 256 KiB, small enough to stay in cache.
+_BLOCK = 1 << 15
+
+# The index axes each convention measures distance over.
+_AXES = {"scalar": (0,), "planar": (1, 2), "3d": (0, 1, 2)}
+
+
 class DistanceMatrix:
     """Text-to-image distance table. Rows are text tokens, columns image tokens.
 
     `convention` records which axes entered the distance: "scalar" (both
     modalities replicated, 1D gap), "planar" (temporal axis dropped), or "3d".
+    `shape` is (T, I).
+
+    Built by `distance_matrix`, it holds only one contiguous column per axis
+    of the text and image indices; `values` builds the (T, I) table on first
+    read and keeps it. Built by hand from a table, it holds that table.
     """
 
-    values: np.ndarray
-    convention: str
+    def __init__(self, values: np.ndarray, convention: str) -> None:
+        self._values = values
+        self.convention = convention
+        self.shape = values.shape
+
+    @classmethod
+    def _of_indices(cls, text: np.ndarray, image: np.ndarray, convention: str) -> DistanceMatrix:
+        matrix = cls.__new__(cls)
+        matrix._values = None
+        matrix.convention = convention
+        matrix.shape = (len(text), len(image))
+        matrix._columns = [(np.ascontiguousarray(text[:, a]), np.ascontiguousarray(image[:, a]))
+                           for a in _AXES[convention]]
+        return matrix
+
+    @property
+    @np.errstate(over="ignore", invalid="ignore")
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            rows, width = self.shape
+            values = np.empty(self.shape)
+            step = max(1, _BLOCK // width)
+            diff = np.empty((min(step, rows), width))
+            for first in range(0, rows, step):
+                _fill_rows(self, first, min(first + step, rows), values[first:first + step], diff)
+            self._values = values
+        return self._values
+
+
+def _fill_rows(matrix: DistanceMatrix, first: int, last: int, out: np.ndarray,
+               diff: np.ndarray) -> None:
+    """Write rows first..last-1 of the distance table into `out` (last - first, I).
+
+    A hand-built or already-read table is copied. Otherwise squares are summed
+    axis by axis, then square-rooted: the same arithmetic, per element, as a
+    norm over a (T, I, len(axes)) array (the first square goes straight into
+    `out`, since 0 + x == x). The scalar convention takes the absolute gap.
+    `diff` is scratch of at least `out`'s shape.
+    """
+    if matrix._values is not None:
+        np.copyto(out, matrix._values[first:last])
+        return
+    (text, image), *rest = matrix._columns
+    np.subtract(text[first:last, None], image[None, :], out=out)
+    if matrix.convention == "scalar":
+        np.abs(out, out=out)
+        return
+    np.multiply(out, out, out=out)
+    d = diff[:len(out)]
+    for text, image in rest:
+        np.subtract(text[first:last, None], image[None, :], out=d)
+        out += np.multiply(d, d, out=d)
+    np.sqrt(out, out=out)
 
 
 def _all_replicated(indices: np.ndarray) -> bool:
     return bool(np.all(indices == indices[:, :1]))
 
 
-# Cells per block: 2**15 float64s are 256 KiB, small enough to stay in cache.
-_BLOCK = 1 << 15
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def distance_matrix(seq: IndexedSequence) -> DistanceMatrix:
     """Euclidean distances between every text index and every image index.
 
@@ -53,42 +109,21 @@ def distance_matrix(seq: IndexedSequence) -> DistanceMatrix:
     dropped, leaving the 2D height/width distance. Otherwise the full 3D
     distance is used.
 
-    Distances that overflow float64 come out as inf; `ptd` rejects them.
+    Nothing of size T x I is made here: `values` and `ptd` compute the
+    distances. Distances that overflow float64 come out as inf; `ptd`
+    rejects them.
     """
     text = seq.indices(TEXT)
     image = seq.indices(IMAGE)
     if len(text) == 0 or len(image) == 0:
         raise MetricError("PTD requires both modalities")
     if _all_replicated(text) and _all_replicated(image):
-        values = text[:, :1] - image[:, 0][None, :]
-        np.abs(values, out=values)
         convention = "scalar"
     elif _all_replicated(text) and np.all(image[:, 0] == image[0, 0]):
-        values = _euclidean(text, image, (1, 2))
         convention = "planar"
     else:
-        values = _euclidean(text, image, (0, 1, 2))
         convention = "3d"
-    return DistanceMatrix(values=values, convention=convention)
-
-
-def _euclidean(text: np.ndarray, image: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """(T, I) Euclidean distances over `axes`, one block of rows at a time.
-
-    Squares are summed axis by axis, then square-rooted: the same arithmetic,
-    per element, as a norm over a (T, I, len(axes)) array.
-    """
-    values = np.zeros((len(text), len(image)))
-    rows = max(1, _BLOCK // len(image))
-    diff = np.empty((min(rows, len(text)), len(image)))
-    for start in range(0, len(text), rows):
-        block = values[start:start + rows]
-        d = diff[:len(block)]
-        for axis in axes:
-            np.subtract(text[start:start + rows, axis, None], image[None, :, axis], out=d)
-            block += np.multiply(d, d, out=d)
-        np.sqrt(block, out=block)
-    return values
+    return DistanceMatrix._of_indices(text, image, convention)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -96,48 +131,51 @@ def ptd(matrix: DistanceMatrix) -> float:
     """Mean absolute deviation of each row from its row mean, averaged over all entries.
 
     Equal, bit for bit, to `np.abs(v - v.mean(axis=1, keepdims=True)).mean()`
-    for a C-contiguous float64 table, without any (T, I) temporary.
+    over the C-contiguous float64 table v, without making that table: the
+    rows are filled a few at a time into buffers of O(I + _BLOCK) cells.
     """
-    values = matrix.values
-    if values.size == 0:
-        raise MetricError(f"PTD of an empty {values.shape} distance table is undefined")
-    means = values.mean(axis=1)
-    buf = np.empty(min(values.size, _BLOCK))
-    total = _abs_deviation_sum(values.reshape(-1), means, values.shape[1], buf, 0, values.size)
-    result = float(total / values.size)
+    rows, width = matrix.shape
+    size = rows * width
+    if size == 0:
+        raise MetricError(f"PTD of an empty {matrix.shape} distance table is undefined")
+    span = min(rows, (_BLOCK - 1) // width + 2)  # the most rows one leaf can touch
+    # One allocation for both: freed as two, they can reach the allocator's
+    # trim threshold, and each call then page-faults its buffers back in.
+    dev, diff = np.empty((2, span, width))
+    total = _abs_deviation_sum(matrix, dev, diff, [0, 0], 0, size)
+    result = float(total / size)
     if not math.isfinite(result):
         raise MetricError("PTD is not finite: index distances overflow float64")
     return result
 
 
-def _abs_deviation_sum(flat: np.ndarray, means: np.ndarray, width: int, buf: np.ndarray,
-                       start: int, stop: int) -> np.float64:
-    """Sum of |flat[k] - means[k // width]| over start <= k < stop.
+def _abs_deviation_sum(matrix: DistanceMatrix, dev: np.ndarray, diff: np.ndarray,
+                       held: list[int], start: int, stop: int) -> np.float64:
+    """Sum of |v[k] - mean of v's row| over flat table cells start <= k < stop.
 
     Segments longer than _BLOCK split where numpy's pairwise summation splits
-    them, so the total is the one np.add.reduce gives over the whole array.
-    Each leaf goes through the block buffer `buf`. A module-level function,
-    not a closure, so that no reference cycle keeps the table alive.
+    them, so the total is the one np.add.reduce gives over the whole table.
+    A leaf fills the rows it touches into `dev` and replaces them with their
+    absolute deviations from their own means; `held` = [first, last) names
+    the rows `dev` holds, so a row longer than a block, touched by several
+    leaves in turn, is filled at most twice. A module-level function, not a
+    closure, so that no reference cycle keeps the matrix alive.
     """
     n = stop - start
     if n > _BLOCK:
         half = n // 2 - (n // 2) % 8
-        return (_abs_deviation_sum(flat, means, width, buf, start, start + half)
-                + _abs_deviation_sum(flat, means, width, buf, start + half, stop))
-    out = buf[:n]
-    first, last = -(-start // width), stop // width  # whole rows first..last-1
-    if first > last:  # the segment lies inside one row
-        np.subtract(flat[start:stop], means[last], out=out)
-    else:
-        head, body = first * width - start, (last - first) * width
-        if head:
-            np.subtract(flat[start:first * width], means[first - 1], out=out[:head])
-        np.subtract(flat[first * width:last * width].reshape(-1, width), means[first:last, None],
-                    out=out[head:head + body].reshape(-1, width))
-        if head + body < n:
-            np.subtract(flat[last * width:stop], means[last], out=out[head + body:])
-    np.abs(out, out=out)
-    return np.add.reduce(out)
+        return (_abs_deviation_sum(matrix, dev, diff, held, start, start + half)
+                + _abs_deviation_sum(matrix, dev, diff, held, start + half, stop))
+    width = matrix.shape[1]
+    first, last = start // width, (stop - 1) // width + 1
+    if not (held[0] <= first and last <= held[1]):
+        block = dev[:last - first]
+        _fill_rows(matrix, first, last, block, diff)
+        block -= block.mean(axis=1, keepdims=True)
+        np.abs(block, out=block)
+        held[:] = first, last
+    offset = held[0] * width
+    return np.add.reduce(dev.reshape(-1)[start - offset:stop - offset])
 
 
 def ptd_of(seq: IndexedSequence) -> float:

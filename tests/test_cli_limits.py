@@ -1,0 +1,116 @@
+"""Stated size limits, the --radius converter, and the CLI's two endings:
+a finite answer with exit 0, or a message with exit 2 and empty stdout."""
+
+import io
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from circle_rope.cli import MAX_CELLS, MAX_HEAD_DIM, MAX_LAYERS, MAX_TOKENS, main
+from circle_rope.geometry import GeometryError
+from circle_rope.schemes import LayoutError, parse_layout
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads as W  # noqa: E402
+
+
+def run_cli(capsys, *argv):
+    out = io.StringIO()
+    code = main(list(argv), out=out)
+    return code, out.getvalue(), capsys.readouterr().err
+
+
+def assert_refused(capsys, *argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert len(stderr.splitlines()) == 1 and "over the limit" in stderr, stderr
+
+
+class TestLimits:
+    def test_tokens(self, capsys):
+        assert_refused(capsys, "project", "--layout", f"i{MAX_TOKENS}x1,t1", "--stage", "fused")
+
+    def test_cells(self, capsys):
+        # 512 text tokens give the smallest pair count above the limit
+        # that stays within the token limit
+        image = MAX_CELLS // 512 + 1
+        assert 512 * image > MAX_CELLS and 512 + image <= MAX_TOKENS
+        assert_refused(capsys, "ptd", "--layout", f"t512,i{image}x1")
+        assert_refused(capsys, "attn", "--layout", f"t512,i{image}x1")
+
+    def test_layers(self, capsys):
+        assert_refused(capsys, "attn", "--layout", "i3x3,t5", "--layers", str(MAX_LAYERS + 1))
+
+    def test_head_dim(self, capsys):
+        assert_refused(capsys, "attn", "--layout", "i3x3,t5", "--head-dim",
+                       str(MAX_HEAD_DIM + 1))
+
+    def test_limits_read_from_a_config_file(self, capsys, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text(f"layers = {MAX_LAYERS + 1}\n")
+        assert_refused(capsys, "attn", "--layout", "i3x3,t5", "--config", str(config))
+
+    def test_huge_grid_is_refused_before_allocation(self, capsys):
+        assert_refused(capsys, "ptd", "--layout", "i3000000000x3000000000,t5")
+
+    def test_layers_and_head_dim_at_the_limit_run(self, capsys):
+        code, stdout, _ = run_cli(capsys, "attn", "--layout", "i2x2,t2", "--layers",
+                                  str(MAX_LAYERS), "--head-dim", str(MAX_HEAD_DIM))
+        assert code == 0 and stdout
+
+    def test_every_benchmark_input_is_within_the_limits(self):
+        layouts = [layout for seed in range(1, 6) for layout in W.ptd_sweep_inputs(seed)]
+        layouts += [item["layout"] for seed in range(1, 6) for item in W.attn_depth_inputs(seed)]
+        layouts += [case["argv"][case["argv"].index("--layout") + 1]
+                    for case in W.cli_cases() if "--layout" in case["argv"]]
+        for layout in layouts:
+            try:
+                parse_layout(layout)
+            except (LayoutError, GeometryError):
+                continue  # an invalid-input case
+            text, image = W.token_counts(layout)
+            assert text + image <= MAX_TOKENS and text * image <= MAX_CELLS, layout
+        for case in W.cli_cases():
+            for flag, limit in (("--layers", MAX_LAYERS), ("--head-dim", MAX_HEAD_DIM)):
+                if flag in case["argv"]:
+                    assert int(case["argv"][case["argv"].index(flag) + 1]) <= limit
+        assert max(W.ROTARY_CONFIGS)[0] <= MAX_HEAD_DIM and W.ATTN_LAYERS <= MAX_LAYERS
+
+
+class TestRadiusConverter:
+    @pytest.mark.parametrize("radius,reason", [("auto:abc", "could not convert"),
+                                               ("fixed:-1", "positive and finite"),
+                                               ("inf", "positive and finite")])
+    def test_reason_is_kept(self, capsys, radius, reason):
+        code, stdout, stderr = run_cli(capsys, "ptd", "--layout", "i3x3,t5", "--radius", radius)
+        assert (code, stdout) == (2, "")
+        assert f"bad radius {radius!r}" in stderr and reason in stderr
+
+
+segment = st.one_of(st.builds("t{}".format, st.integers(1, 6)),
+                    st.builds("i{}x{}".format, st.integers(1, 5), st.integers(1, 5)))
+layouts = st.lists(segment, min_size=1, max_size=3).map(",".join)
+unit = st.floats(0, 1)
+magnitude = st.floats(allow_nan=False, allow_infinity=False)
+radii = st.one_of(st.builds("fixed:{!r}".format, magnitude),
+                  st.builds("auto:{!r}".format, magnitude))
+commands = st.one_of(
+    st.just(["ptd", "--format", "csv"]),
+    st.builds(lambda stage: ["project", "--stage", stage],
+              st.sampled_from(["centered", "circle2d", "projected", "fused"])),
+    st.just(["attn", "--layers", "2", "--head-dim", "8", "--sections", "2,1,1"]),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=commands, layout=layouts, alpha=unit, beta=unit, radius=radii)
+def test_exit_0_is_finite_and_every_other_exit_is_2(capsys, command, layout, alpha, beta, radius):
+    argv = [*command, "--layout", layout, "--alpha", repr(alpha), "--beta", repr(beta),
+            "--radius", radius]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    if code == 0:
+        assert "nan" not in stdout.lower() and "inf" not in stdout.lower(), argv
+    else:
+        assert (code, stdout) == (2, ""), (argv, stderr)

@@ -1,0 +1,112 @@
+"""PTD from the indices: no (T, I) table, every value equal by `==` to the
+unblocked one-liner over the dense table, and each long row filled at most twice."""
+
+import tracemalloc
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from circle_rope import metrics
+from circle_rope.geometry import CipConfig
+from circle_rope.metrics import _BLOCK, distance_matrix, ptd
+from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, IndexedSequence, assign, parse_layout
+
+MIB = 1 << 20
+
+# Table sizes on both sides of one and two blocks, and rows longer than a block.
+TARGETS = [k * _BLOCK + d for k in (1, 2) for d in (-5, -1, 0, 1, 7)]
+near_blocks = st.builds(lambda cells, t, d: (t, max(1, cells // t + d)),
+                        st.sampled_from(TARGETS), st.integers(1, 40), st.integers(-3, 3))
+long_rows = st.tuples(st.integers(1, 3), st.integers(_BLOCK - 3, 2 * _BLOCK + 9))
+small = st.tuples(st.integers(1, 50), st.integers(1, 50))
+shapes = st.one_of(near_blocks, long_rows, small)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def reference_ptd(values):
+    return float(np.abs(values - values.mean(axis=1, keepdims=True)).mean())
+
+
+def dense_distances(seq, convention):
+    text, image = seq.indices(TEXT), seq.indices(IMAGE)
+    if convention == "scalar":
+        return np.abs(text[:, :1] - image[:, 0][None, :])
+    axes = [1, 2] if convention == "planar" else [0, 1, 2]
+    return np.linalg.norm(text[:, None, axes] - image[None, :, axes], axis=2)
+
+
+def sequence(convention, shape, seed, scale):
+    """A hand-built sequence of the given convention; under "3d" the text
+    indices are not replicated."""
+    n_text, n_image = shape
+    rng = np.random.default_rng(seed)
+    text = np.repeat(rng.standard_normal((n_text, 1)) * scale, 3, axis=1)
+    if convention == "scalar":
+        image = np.repeat(rng.standard_normal((n_image, 1)) * scale, 3, axis=1)
+    else:
+        image = rng.standard_normal((n_image, 3)) * scale
+        if convention == "planar":
+            image[:, 0] = image[0, 0]
+        else:
+            text += rng.standard_normal((n_text, 3)) * scale
+    return IndexedSequence(index=np.concatenate([text, image]),
+                           modality=np.array([TEXT] * n_text + [IMAGE] * n_image))
+
+
+@settings(max_examples=40, deadline=None)
+@given(convention=st.sampled_from(["scalar", "planar", "3d"]), shape=shapes, seed=seeds,
+       scale=st.floats(1e-3, 1e6))
+def test_index_built_ptd_equals_unblocked_reference(convention, shape, seed, scale):
+    seq = sequence(convention, shape, seed, scale)
+    matrix = distance_matrix(seq)
+    assert matrix.convention == convention
+    assert matrix.shape == shape
+    assert ptd(matrix) == reference_ptd(dense_distances(seq, convention))
+
+
+@pytest.mark.parametrize("layout", ["t2,i256x256", "i200x200,t1,i90x3", "t5,i181x181"])
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_long_rows_of_real_layouts(layout, scheme):
+    seq = assign(scheme, parse_layout(layout), CipConfig())
+    matrix = distance_matrix(seq)
+    expected = reference_ptd(dense_distances(seq, matrix.convention))
+    assert ptd(matrix) == expected
+    # reading the table does not change the result: its rows are copied instead
+    assert matrix.values.tobytes() == dense_distances(seq, matrix.convention).tobytes()
+    assert ptd(matrix) == expected
+
+
+@pytest.mark.parametrize("layout", ["t3,i300x300", "t4,i64x64", "t1,i200x200"])
+def test_each_row_is_filled_at_most_twice(layout, monkeypatch):
+    filled = Counter()
+    fill_rows = metrics._fill_rows
+
+    def counting(matrix, first, last, out, diff):
+        filled.update(range(first, last))
+        fill_rows(matrix, first, last, out, diff)
+
+    monkeypatch.setattr(metrics, "_fill_rows", counting)
+    matrix = distance_matrix(assign("circle", parse_layout(layout), CipConfig()))
+    ptd(matrix)
+    assert set(filled) == set(range(matrix.shape[0]))
+    assert max(filled.values()) <= 2
+
+
+def test_ptd_makes_no_table():
+    # 512 text rows x 4096 image columns, circle scheme: the 3d convention
+    seq = assign("circle", parse_layout("i64x64,t512"), CipConfig())
+    tracemalloc.start()
+    try:
+        ptd(distance_matrix(seq))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < seq.index.nbytes + MIB
+
+
+def test_values_are_built_on_first_read_and_kept():
+    matrix = distance_matrix(assign("spatial", parse_layout("i8x8,t4"), CipConfig()))
+    assert matrix._values is None
+    assert matrix.values is matrix.values
