@@ -24,7 +24,9 @@ from .schemes import ImageSegment, LayoutError, SCHEME_NAMES, Segment, TextSegme
 # the CLI exits 2. Tokens bound the index arrays of every subcommand.
 # Text x image cells bound PTD time (PTD holds O(T + I) memory, but visits
 # every cell) and the (T, I) float64 logit table of an attention layer, 512 MiB
-# at the limit. Layers bound the attn report, head_dim its rotation arrays.
+# at the limit: `attn` on i128x128,t4096 (spatial, 2 layers, head_dim 64)
+# peaks at 526 MiB under tracemalloc, the table plus the rotated keys.
+# Layers bound the attn report, head_dim its rotation arrays.
 MAX_TOKENS = 1 << 18
 MAX_CELLS = 1 << 26
 MAX_LAYERS = 1 << 10

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import CipConfig
 from .metrics import ptd_of
-from .rope import RotaryParams, apply_rotary, rotation_angles
+from .rope import RotaryParams, apply_rotary, rotate_key, rotation_angles
 from .schemes import IMAGE, TEXT, IndexedSequence, Segment, assign
 
 
@@ -103,20 +103,24 @@ class ExperimentReport:
                 for scheme, layers in self.stats.items()}
 
 
+def _mean_std(table: np.ndarray) -> tuple[float, float]:
+    """`table.mean()` and `table.std()`, equal to them by ==, from two sums
+    over the table instead of three: numpy's `_var` sums the same squared
+    deviations in the same order. Overwrites `table` with them."""
+    n = table.size
+    mean = np.add.reduce(table, axis=None) / n
+    np.subtract(table, mean, out=table)
+    np.square(table, out=table)
+    return float(mean), float(np.sqrt(np.add.reduce(table, axis=None) / n))
+
+
 def _layer_stats(seq: IndexedSequence, queries: np.ndarray, key: np.ndarray,
                  params: RotaryParams) -> LayerStats:
-    image_idx = seq.indices(IMAGE)
     rotated_queries = apply_rotary(queries, rotation_angles(seq.indices(TEXT), params))
-    rotated_keys = apply_rotary(np.broadcast_to(key, (len(image_idx), len(key))),
-                                rotation_angles(image_idx, params))
-    logits = rotated_queries @ rotated_keys.T
+    logits = rotated_queries @ rotate_key(key, seq.indices(IMAGE), params).T
     spread = float((logits.max(axis=1) - logits.min(axis=1)).max())
-    return LayerStats(
-        mean=float(logits.mean()),
-        std=float(logits.std()),
-        spread=spread,
-        ptd=ptd_of(seq),
-    )
+    mean, std = _mean_std(logits)
+    return LayerStats(mean=mean, std=std, spread=spread, ptd=ptd_of(seq))
 
 
 def run_experiment(

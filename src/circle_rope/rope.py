@@ -71,6 +71,51 @@ def apply_rotary(vec: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out
 
 
+def rotate_key(key: np.ndarray, index: np.ndarray, params: RotaryParams) -> np.ndarray:
+    """Rotate one (head_dim,) key to each row of (N, 3) indices: (N, head_dim).
+
+    Equal byte for byte to `apply_rotary(np.broadcast_to(key, (N, head_dim)),
+    rotation_angles(index, params))`, and likewise fresh and C-contiguous. It
+    computes each angle, its cos/sin and the rotated key pair once per
+    distinct (axis value, frequency): axis values are told apart by bit
+    pattern, so -0.0 and 0.0 stay apart. When the three index columns are
+    equal, one table over the widest section's ladder serves every section,
+    as a rank's frequency is the same in each. Tables are frequency-major,
+    (section width, distinct values), as the outer product of frequencies
+    and values lays them out; a transposing gather then fills each
+    section's even and odd output entries.
+    """
+    key = np.asarray(key, dtype=float)
+    index = np.ascontiguousarray(index, dtype=float)
+    if key.shape != (params.head_dim,) or index.ndim != 2 or index.shape[1] != 3:
+        raise RopeError(f"need a ({params.head_dim},) key and (N, 3) indices, "
+                        f"got {key.shape} and {index.shape}")
+    bits = index.view(np.int64)
+    _, freqs = params.frequencies()
+    bounds = np.cumsum((0, *params.sections))
+    replicated = bool(np.all(bits[:, 1:] == bits[:, :1]))
+    widest = int(np.argmax(params.sections))
+    tables = {}
+    out = np.empty((len(index), params.head_dim))
+    pairs = out.reshape(len(index), params.head_dim // 2, 2)
+    for axis in range(3):
+        lo, hi = bounds[axis], bounds[axis + 1]
+        if lo == hi:
+            continue
+        column, ladder = (0, widest) if replicated else (axis, axis)
+        if column not in tables:
+            distinct, inverse = np.unique(bits[:, column], return_inverse=True)
+            angles = freqs[bounds[ladder]:bounds[ladder + 1], None] * distinct.view(float)
+            tables[column] = inverse, np.cos(angles), np.sin(angles)
+        inverse, cos, sin = tables[column]
+        cos, sin = cos[:hi - lo], sin[:hi - lo]
+        even = key[2 * lo:2 * hi:2, None]
+        odd = key[2 * lo + 1:2 * hi:2, None]
+        pairs[:, lo:hi, 0] = (even * cos - odd * sin).T[inverse]
+        pairs[:, lo:hi, 1] = (even * sin + odd * cos).T[inverse]
+    return out
+
+
 def logit(
     q: np.ndarray,
     q_index: np.ndarray,
