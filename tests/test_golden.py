@@ -1,4 +1,4 @@
-"""Golden stdout digests of `attn` and `ptd` runs.
+"""Golden stdout digests of `attn`, `ptd` and `project` runs.
 
 The digests are the ones the benchmark records in perfbench/cli_expected.json
 (exit code, stdout sha256, stdout bytes); this test only reads that file.
@@ -6,7 +6,9 @@ The `attn` runs change in their last digit if a rotated key array is not
 C-contiguous, because the logit matmul then sums in another order. The `ptd`
 runs change if the block-wise PTD sum adds in another order than numpy's
 pairwise sum over the whole table; `ptd-csv-large` (64 x 1024 cells) spans
-more than one block.
+more than one block. The `project` runs pin every stage of the projection
+pipeline in every output format, and the config cases pin how a config file
+and a flag combine.
 """
 
 import hashlib
@@ -37,6 +39,27 @@ CASES = {
     "ptd-one-scheme": (["ptd", "--layout", "t3,i10x5,t7", "--scheme", "circle"], None, {}),
     "config-ptd-json": (["ptd", "--layout", "i8x8,t8"],
                         "format = json\nradius = auto:1.5\nschemes = hard,circle\n", {}),
+    "readme-project": (["project", "--layout", "i3x3,t1", "--stage", "projected", "--alpha",
+                        "0.5", "--radius", "10", "--format", "csv"], None, {}),
+    "accept-project": (["project", "--layout", "i4x3,t2", "--stage", "projected",
+                        "--format", "json"], None, {}),
+    "project-auto-alpha0": (["project", "--layout", "i8x8,t2", "--stage", "circle2d",
+                             "--radius", "auto:2", "--alpha", "0"], None, {}),
+    "project-alpha1-beta0": (["project", "--layout", "i8x6,t2", "--stage", "fused", "--alpha",
+                              "1", "--beta", "0", "--format", "table"], None, {}),
+    "project-two-images": (["project", "--layout", "i5x4,t3,i16x12", "--stage", "fused",
+                            "--radius", "fixed:4", "--format", "json"], None, {}),
+    **{f"project-{layout}-{stage}-{fmt}": (["project", "--layout", layout, "--stage", stage,
+                                            "--format", fmt], None, {})
+       for layout in ("i3x3,t1", "i64x64,t8")
+       for stage in ("centered", "circle2d", "projected", "fused")
+       for fmt in ("csv", "json", "table")},
+    "config-beta1": (["ptd", "--layout", "i3x3,t5", "--format", "csv"],
+                     "beta = 1.0\nalpha = 0.25  # flags win over this\n", {}),
+    "config-flag-wins": (["ptd", "--layout", "i3x3,t5", "--beta", "0", "--format", "csv"],
+                         "beta = 1.0\nalpha = 0.25  # flags win over this\n", {}),
+    "config-project": (["project", "--layout", "i6x5,t2", "--stage", "fused"],
+                       "alpha=0\nbeta=0.5\nformat=table\nradius=fixed:4\n", {}),
 }
 
 
