@@ -3,6 +3,7 @@
 from .geometry import (
     AutoRadius,
     CipConfig,
+    CipStages,
     FixedRadius,
     GridSpec,
     PlaneBasis,

@@ -10,9 +10,8 @@ import json
 import os
 import sys
 
-from .geometry import AutoRadius, CipConfig, FixedRadius, GeometryError, cip_transform, \
-    dual_frame_fusion, grid_coords, centralize, spatial_origin_angles, grid_index_angles, \
-    mix_angles, compute_radius, map_to_circle
+from .geometry import AutoRadius, CipConfig, CipStages, FixedRadius, GeometryError, \
+    cip_transform
 from .harness import HarnessError, RotaryParams, ScheduleStrategy, make_schedule, \
     run_experiment
 from .metrics import MetricError, distance_matrix, ptd
@@ -54,13 +53,43 @@ def parse_radius(text: str) -> FixedRadius | AutoRadius:
         raise UsageError(f"bad radius {text!r}: {exc}") from None
 
 
-def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str, str]:
+def parse_schemes(text: str) -> tuple[str, ...]:
+    """Comma-separated scheme names, e.g. `hard,circle`."""
+    schemes = tuple(name.strip() for name in text.split(","))
+    for scheme in schemes:
+        if scheme not in SCHEME_NAMES:
+            raise UsageError(f"unknown scheme {scheme!r} (choose from {', '.join(SCHEME_NAMES)})")
+    return schemes
+
+
+def parse_sections(text: str) -> tuple[int, ...]:
+    """Three comma-separated rotary pair counts, e.g. `16,8,8`."""
+    try:
+        sections = tuple(int(count) for count in text.split(","))
+    except ValueError:
+        sections = ()
+    if len(sections) != 3:
+        raise UsageError(f"bad sections {text!r}: expected three comma-separated counts")
+    return sections
+
+
+def parse_seed(text: str) -> int:
+    """A non-negative integer, as numpy's default_rng requires."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise UsageError(f"bad seed {text!r}: expected a non-negative integer")
+
+
+def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str, object]:
     """Read key=value lines; `#` starts a comment. Flags override these values.
 
-    Each key must name an option of some subcommand (by its dest), and a value
-    must be one of that option's choices, if it has any.
+    Each key must name an option of some subcommand (by its dest), and its
+    value passes that option's own type converter and choices, as a flag does.
     """
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     try:
         with open(path) as fh:
             for line in fh:
@@ -73,39 +102,18 @@ def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str
                 key, val = key.strip().replace("-", "_"), val.strip().strip('"')
                 if key not in options:
                     raise UsageError(f"unknown config key {key!r} in {path}")
-                choices = options[key].choices
-                if choices is not None and val not in choices:
+                action = options[key]
+                try:
+                    value = action.type(val) if action.type else val
+                except ValueError as exc:
+                    raise UsageError(f"bad config value {key}={val!r} in {path}: {exc}") from None
+                if action.choices is not None and value not in action.choices:
                     raise UsageError(f"bad config value {key}={val!r} in {path} "
-                                     f"(choose from {', '.join(choices)})")
-                values[key] = val
+                                     f"(choose from {', '.join(action.choices)})")
+                values[key] = value
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     return values
-
-
-def _resolve(args: argparse.Namespace, name: str, default, cast=str):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    file_values = getattr(args, "_config_values", {})
-    if name in file_values:
-        try:
-            return cast(file_values[name])
-        except ValueError as exc:
-            raise UsageError(f"bad config value {name}={file_values[name]!r}: {exc}") from None
-    return default
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    seed = _resolve(args, "seed", None, int)
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get("CIRCLE_ROPE_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise UsageError(f"bad CIRCLE_ROPE_SEED {env!r}") from None
 
 
 def _layout(args: argparse.Namespace, pairs: bool = True) -> list[Segment]:
@@ -121,19 +129,11 @@ def _layout(args: argparse.Namespace, pairs: bool = True) -> list[Segment]:
     return segments
 
 
-def _bounded(args: argparse.Namespace, name: str, default: int, limit: int) -> int:
-    value = int(_resolve(args, name, default, int))
+def _bounded(args: argparse.Namespace, name: str, limit: int) -> int:
+    value = getattr(args, name)
     if value > limit:
         raise UsageError(f"{name.replace('_', '-')} {value} is over the limit of {limit}")
     return value
-
-
-def _cip_config(args: argparse.Namespace) -> CipConfig:
-    return CipConfig(
-        alpha=float(_resolve(args, "alpha", 0.5, float)),
-        radius=_resolve(args, "radius", FixedRadius(10.0), parse_radius),
-        beta=float(_resolve(args, "beta", 0.1, float)),
-    )
 
 
 def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
@@ -153,80 +153,39 @@ def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
 
 def cmd_ptd(args: argparse.Namespace, out) -> int:
     segments = _layout(args)
-    config = _cip_config(args)
-    schemes = _resolve(args, "schemes", "hard,unordered,spatial,circle").split(",")
+    config = CipConfig(args.alpha, args.radius, args.beta)
     rows = []
-    for scheme in schemes:
-        scheme = scheme.strip()
-        if scheme not in SCHEME_NAMES:
-            raise UsageError(f"unknown scheme {scheme!r}")
+    for scheme in args.schemes:
         matrix = distance_matrix(assign(scheme, segments, config))
         rows.append([scheme, _fmt(ptd(matrix)), matrix.convention])
-    _emit_rows(["scheme", "ptd", "distance_convention"], rows,
-               _resolve(args, "format", "table"), out)
+    _emit_rows(["scheme", "ptd", "distance_convention"], rows, args.format, out)
     return 0
-
-
-_STAGES = ("centered", "circle2d", "projected", "fused")
 
 
 def cmd_project(args: argparse.Namespace, out) -> int:
     segments = _layout(args, pairs=False)
-    config = _cip_config(args)
-    stage = args.stage
-    if stage not in _STAGES:
-        raise UsageError(f"unknown stage {stage!r} (choose from {', '.join(_STAGES)})")
+    config = CipConfig(args.alpha, args.radius, args.beta)
     images = [seg for seg in segments if isinstance(seg, ImageSegment)]
     if not images:
         raise UsageError("layout has no image segment to project")
     rows = []
-    token_id = 0
     for seg in images:
-        grid = seg.grid
-        if stage == "centered":
-            coords, _ = centralize(grid_coords(grid))
-        elif stage == "circle2d":
-            centered, _ = centralize(grid_coords(grid))
-            mixed = mix_angles(spatial_origin_angles(centered), grid_index_angles(grid),
-                               config.alpha)
-            coords = map_to_circle(mixed, compute_radius(centered, config.radius))
-        else:
-            projected, centered = cip_transform(grid, config)
-            coords = projected if stage == "projected" else \
-                dual_frame_fusion(projected, centered, config.beta)
-        for point in coords:
-            rows.append([str(token_id)] + [_fmt(c) for c in point])
-            token_id += 1
-    _emit_rows(["token_id", "x", "y", "z"], rows, _resolve(args, "format", "csv"), out)
+        for point in getattr(cip_transform(seg.grid, config), args.stage):
+            rows.append([str(len(rows))] + [_fmt(c) for c in point])
+    _emit_rows(["token_id", "x", "y", "z"], rows, args.format, out)
     return 0
 
 
 def cmd_attn(args: argparse.Namespace, out) -> int:
     segments = _layout(args)
-    config = _cip_config(args)
-    head_dim = _bounded(args, "head_dim", 64, MAX_HEAD_DIM)
-    sections_text = _resolve(args, "sections", None)
-    if sections_text is None:
-        half = head_dim // 2
-        sections = (half - 2 * (half // 4), half // 4, half // 4)
-    else:
-        try:
-            parts = tuple(int(s) for s in str(sections_text).split(","))
-        except ValueError:
-            raise UsageError(f"bad sections {sections_text!r}") from None
-        if len(parts) != 3:
-            raise UsageError(f"sections must be three counts, got {sections_text!r}")
-        sections = parts
+    config = CipConfig(args.alpha, args.radius, args.beta)
+    head_dim = _bounded(args, "head_dim", MAX_HEAD_DIM)
+    half = head_dim // 2
+    sections = args.sections or (half - 2 * (half // 4), half // 4, half // 4)
     params = RotaryParams(head_dim=head_dim, sections=sections)
-    strategy = ScheduleStrategy(_resolve(args, "schedule", "alt"))
-    schedule = make_schedule(_bounded(args, "layers", 36, MAX_LAYERS), strategy)
-    schemes = tuple(s.strip() for s in _resolve(args, "schemes",
-                                                "hard,unordered,spatial,circle").split(","))
-    for scheme in schemes:
-        if scheme not in SCHEME_NAMES:
-            raise UsageError(f"unknown scheme {scheme!r}")
-    report = run_experiment(segments, config, schedule, params,
-                            seed=_resolve_seed(args), schemes=schemes)
+    schedule = make_schedule(_bounded(args, "layers", MAX_LAYERS), ScheduleStrategy(args.schedule))
+    seed = parse_seed(os.environ.get("CIRCLE_ROPE_SEED") or "0") if args.seed is None else args.seed
+    report = run_experiment(segments, config, schedule, params, seed=seed, schemes=args.schemes)
     out.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -235,40 +194,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="circle-rope")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, fmt: str | None) -> None:
         p.add_argument("--layout", required=True, help="e.g. i3x3,t5")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--radius", type=parse_radius, help="fixed:<R>, auto:<k>, or bare number")
-        p.add_argument("--beta", type=float)
-        p.add_argument("--format", choices=("csv", "json", "table"))
+        p.add_argument("--alpha", type=float, default=0.5,
+                       help="weight of the spatial-origin angle (default: %(default)s)")
+        p.add_argument("--radius", type=parse_radius, default="fixed:10",
+                       help="fixed:<R>, auto:<k>, or bare number (default: %(default)s)")
+        p.add_argument("--beta", type=float, default=0.1,
+                       help="fusion weight of the projected circle (default: %(default)s)")
+        p.add_argument("--format", choices=("csv", "json", "table"), default=fmt,
+                       help="output format (default: %(default)s)")
         p.add_argument("--config", help="key=value config file; flags override")
 
     p_ptd = sub.add_parser("ptd", help="per-token distance per scheme")
-    add_common(p_ptd)
-    p_ptd.add_argument("--schemes", "--scheme", dest="schemes")
+    add_common(p_ptd, "table")
+    p_ptd.add_argument("--schemes", "--scheme", type=parse_schemes,
+                       default=",".join(SCHEME_NAMES), help="(default: %(default)s)")
     p_ptd.set_defaults(func=cmd_ptd)
 
     p_proj = sub.add_parser("project", help="dump projection pipeline stages")
-    add_common(p_proj)
-    p_proj.add_argument("--stage", required=True)
+    add_common(p_proj, "csv")
+    p_proj.add_argument("--stage", required=True, choices=CipStages._fields)
     p_proj.set_defaults(func=cmd_project)
 
     p_attn = sub.add_parser("attn", help="toy attention dispersion report")
-    add_common(p_attn)
-    p_attn.add_argument("--schemes", "--scheme", dest="schemes")
-    p_attn.add_argument("--schedule", choices=[s.value for s in ScheduleStrategy])
-    p_attn.add_argument("--layers", type=int)
-    p_attn.add_argument("--seed", type=int)
-    p_attn.add_argument("--head-dim", dest="head_dim", type=int)
-    p_attn.add_argument("--sections")
+    add_common(p_attn, None)
+    p_attn.add_argument("--schemes", "--scheme", type=parse_schemes,
+                        default=",".join(SCHEME_NAMES), help="(default: %(default)s)")
+    p_attn.add_argument("--schedule", choices=[s.value for s in ScheduleStrategy],
+                        default="alt", help="circle-index layers (default: %(default)s)")
+    p_attn.add_argument("--layers", type=int, default=36, help="(default: %(default)s)")
+    p_attn.add_argument("--seed", type=parse_seed, help="(default: $CIRCLE_ROPE_SEED, else 0)")
+    p_attn.add_argument("--head-dim", type=int, default=64, help="(default: %(default)s)")
+    p_attn.add_argument("--sections", type=parse_sections,
+                        help="rotary pairs per axis, e.g. 16,8,8 (default: from head-dim)")
     p_attn.set_defaults(func=cmd_attn)
     return parser
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _config_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     """The options of every subcommand by dest: the keys a config file may set."""
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {action.dest: action for sub in subcommands.choices.values()
+    return {action.dest: action for sub in _subcommands(parser).values()
             for action in sub._actions if action.option_strings and action.dest != "help"}
 
 
@@ -277,12 +247,15 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # The file's values become the subcommand's defaults; parsing
+            # argv again lets the flags override them.
+            values = load_config_file(args.config, _config_options(parser))
+            _subcommands(parser)[args.command].set_defaults(**values)
+            args = parser.parse_args(argv)
+        return args.func(args, out)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        args._config_values = load_config_file(args.config, _config_options(parser)) \
-            if args.config else {}
-        return args.func(args, out)
     except (UsageError, LayoutError, GeometryError, MetricError, RopeError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ the width coordinate. Text tokens live on the line t * (1, 1, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -162,10 +162,6 @@ def mix_angles(sa: np.ndarray, ga: np.ndarray, alpha: float) -> np.ndarray:
     ga = np.asarray(ga, dtype=float)
     if sa.shape != ga.shape:
         raise GeometryError(f"angle list length mismatch: {sa.shape} vs {ga.shape}")
-    if alpha == 1.0:
-        return sa.copy()
-    if alpha == 0.0:
-        return ga.copy()
     return alpha * sa + (1.0 - alpha) * ga
 
 
@@ -230,22 +226,30 @@ def rotate_to_plane(circle_points: np.ndarray, basis: PlaneBasis) -> np.ndarray:
     return np.outer(circle_points[:, 0], basis.u) + np.outer(circle_points[:, 1], basis.v)
 
 
-def cip_transform(grid: GridSpec, config: CipConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Full circular projection of a grid.
+class CipStages(NamedTuple):
+    """Every stage of the circular projection of one grid, each (N, 3) in
+    grid_coords order.
 
-    Returns (projected, centered): the points on the target-plane circle and
-    the centered grid coordinates, both in grid_coords order.
+    centered: the grid shifted to its midrange center.
+    circle2d: the mixed angles on the circle, in the working XY plane.
+    projected: circle2d rotated into the plane orthogonal to the text direction.
+    fused: dual-frame fusion, beta * projected + (1 - beta) * centered.
     """
-    points = grid_coords(grid)
-    centered, _ = centralize(points)
-    sa = spatial_origin_angles(centered)
-    ga = grid_index_angles(grid)
-    mixed = mix_angles(sa, ga, config.alpha)
-    radius = compute_radius(centered, config.radius)
-    circle = map_to_circle(mixed, radius)
-    basis = build_plane_basis(config.text_direction)
-    projected = rotate_to_plane(circle, basis)
-    return projected, centered
+
+    centered: np.ndarray
+    circle2d: np.ndarray
+    projected: np.ndarray
+    fused: np.ndarray
+
+
+def cip_transform(grid: GridSpec, config: CipConfig) -> CipStages:
+    """Full circular projection of a grid, with every intermediate stage."""
+    centered, _ = centralize(grid_coords(grid))
+    mixed = mix_angles(spatial_origin_angles(centered), grid_index_angles(grid), config.alpha)
+    circle2d = map_to_circle(mixed, compute_radius(centered, config.radius))
+    projected = rotate_to_plane(circle2d, build_plane_basis(config.text_direction))
+    return CipStages(centered, circle2d, projected,
+                     dual_frame_fusion(projected, centered, config.beta))
 
 
 def dual_frame_fusion(projected: np.ndarray, centered: np.ndarray, beta: float) -> np.ndarray:
@@ -255,7 +259,7 @@ def dual_frame_fusion(projected: np.ndarray, centered: np.ndarray, beta: float) 
     if projected.shape != centered.shape:
         raise GeometryError(f"point set shape mismatch: {projected.shape} vs {centered.shape}")
     if beta == 1.0:
+        # Not 1 * projected + 0 * centered: an axis-aligned text direction
+        # gives projected -0.0 coordinates, which adding 0.0 turns into 0.0.
         return projected.copy()
-    if beta == 0.0:
-        return centered.copy()
     return beta * projected + (1.0 - beta) * centered

@@ -13,7 +13,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .geometry import CipConfig, GridSpec, cip_transform, dual_frame_fusion, grid_coords
+from .geometry import CipConfig, GridSpec, cip_transform, grid_coords
 
 
 class LayoutError(ValueError):
@@ -137,8 +137,7 @@ def assign_circle(segments: list[Segment], config: CipConfig) -> IndexedSequence
     """Spatial text indices; image grids replaced by fused circle coordinates
     translated so the circle center sits at (b, b, b) on the text line."""
     def block(grid: GridSpec, base: int) -> tuple[np.ndarray, int]:
-        projected, centered = cip_transform(grid, config)
-        fused = dual_frame_fusion(projected, centered, config.beta) + float(base)
+        fused = cip_transform(grid, config).fused + float(base)
         return fused, base + max(grid.width, grid.height)
     return _walk(segments, block)
 

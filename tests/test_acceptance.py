@@ -76,7 +76,7 @@ def test_criterion_2_equidistance_sweep():
         else:
             radius = AutoRadius(float(rng.choice([1.0, 2.0])))
         config = CipConfig(alpha=float(rng.uniform(0, 1)), radius=radius)
-        projected, centered = cip_transform(GridSpec(w, h), config)
+        projected = cip_transform(GridSpec(w, h), config).projected
         t = float(rng.uniform(-100, 100))
         dists = np.linalg.norm(projected - t * np.ones(3), axis=1)
         worst = max(worst, float(dists.max() - dists.min()))
@@ -96,7 +96,7 @@ def test_criterion_3_plane_and_norm_invariants():
             h = 2
         radius = float(rng.uniform(1, 50))
         config = CipConfig(alpha=float(rng.uniform(0, 1)), radius=FixedRadius(radius))
-        projected, _ = cip_transform(GridSpec(w, h), config)
+        projected = cip_transform(GridSpec(w, h), config).projected
         worst_norm = max(worst_norm, float(np.abs(np.linalg.norm(projected, axis=1) - radius).max()))
         worst_plane = max(worst_plane, float(np.abs(projected @ basis.n).max()))
     ok = worst_norm <= 1e-9 and worst_plane <= 1e-9
@@ -112,7 +112,8 @@ def test_criterion_4_endpoint_equalities():
         mix_angles(sa, ga, 0.0).tolist() == ga.tolist()
         and mix_angles(sa, ga, 1.0).tolist() == sa.tolist()
     )
-    projected, cent = cip_transform(grid, CipConfig(radius=FixedRadius(10.0)))
+    stages = cip_transform(grid, CipConfig(radius=FixedRadius(10.0)))
+    projected, cent = stages.projected, stages.centered
     beta1 = dual_frame_fusion(projected, cent, 1.0)
     beta0 = dual_frame_fusion(projected, cent, 0.0)
     beta_ok = (

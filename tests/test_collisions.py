@@ -10,8 +10,7 @@ GRID = GridSpec(width=12, height=5)
 
 
 def projected(alpha):
-    points, _ = cip_transform(GRID, CipConfig(alpha=alpha, radius=FixedRadius(10.0)))
-    return points
+    return cip_transform(GRID, CipConfig(alpha=alpha, radius=FixedRadius(10.0))).projected
 
 
 def distance(points, a, b):

@@ -1,0 +1,116 @@
+"""One config path: a config-file value passes its flag's own converter and
+choices, a flag overrides it, and a bad value exits 2 with one stderr line
+that names the file. Also the seed converter and the CLI behaviour that the
+single projection pipeline and the argparse converters fix."""
+
+import io
+
+import pytest
+
+from circle_rope import cli
+
+PTD = ["ptd", "--layout", "i3x3,t5"]
+ATTN = ["attn", "--layout", "i2x2,t2", "--layers", "2", "--head-dim", "8", "--seed", "1"]
+
+# dest: (argv without the setting, flag, file value, another value for the flag)
+SETTINGS = {
+    "alpha": ([*PTD, "--schemes", "circle"], "--alpha", "0.25", "0.75"),
+    "radius": ([*PTD, "--schemes", "circle"], "--radius", "auto:1.5", "fixed:4"),
+    "beta": ([*PTD, "--schemes", "circle"], "--beta", "1.0", "0.3"),
+    "format": (PTD, "--format", "json", "csv"),
+    "schemes": (PTD, "--schemes", "hard,circle", "spatial"),
+    "schedule": (ATTN, "--schedule", "upper", "lower"),
+    "layers": (ATTN[:3] + ATTN[5:], "--layers", "3", "4"),
+    "seed": (ATTN[:-2], "--seed", "2", "3"),
+    "head_dim": (ATTN[:5] + ATTN[7:], "--head-dim", "16", "12"),
+    "sections": (ATTN, "--sections", "2,1,1", "1,2,1"),
+}
+# required flags: a file value cannot stand in for them
+REQUIRED = {"layout", "stage", "config"}
+
+BAD_VALUES = ["alpha=x", "beta=x", "radius=abc", "radius=fixed:-1", "format=xml",
+              "schemes=hard,square", "stage=warped", "schedule=sideways", "layers=abc",
+              "seed=-1", "seed=1.5", "head-dim=abc", "sections=1,2", "sections=a,b,c"]
+COMMANDS = {"ptd": PTD, "project": ["project", "--layout", "i3x3,t1", "--stage", "fused"],
+            "attn": ATTN}
+
+
+def run(capsys, *argv):
+    out = io.StringIO()
+    code = cli.main(list(argv), out=out)
+    return code, out.getvalue(), capsys.readouterr().err
+
+
+def config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_every_config_settable_dest_is_covered():
+    assert set(SETTINGS) | REQUIRED == set(cli._config_options(cli.build_parser()))
+
+
+@pytest.mark.parametrize("dest", sorted(SETTINGS))
+def test_file_value_converts_as_the_flag_does_and_the_flag_wins(capsys, tmp_path, dest):
+    argv, flag, file_value, flag_value = SETTINGS[dest]
+    cfg = config(tmp_path, f"{dest} = {file_value}\n")
+    by_file = run(capsys, *argv, "--config", cfg)
+    assert by_file[0] == 0 and by_file == run(capsys, *argv, flag, file_value)
+    by_flag = run(capsys, *argv, flag, flag_value)
+    assert by_flag[0] == 0 and by_flag[1] != by_file[1]
+    assert run(capsys, *argv, "--config", cfg, flag, flag_value) == by_flag
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("line", BAD_VALUES)
+def test_bad_file_value_exits_2_with_one_line_naming_the_file(capsys, tmp_path, command, line):
+    # a key of another subcommand is converted and choice-checked as well
+    cfg = config(tmp_path, line + "\n")
+    code, stdout, stderr = run(capsys, *COMMANDS[command], "--config", cfg)
+    assert (code, stdout) == (2, "")
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ") and cfg in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["project", "--layout", "i3x3", "--stage", "warped"],
+    ["ptd", "--layout", "i3x3,t5", "--schemes", "hard,square"],
+    ["attn", "--layout", "i3x3,t5", "--sections", "1,2"],
+    ["attn", "--layout", "i3x3,t5", "--seed", "-1"],
+], ids=["stage", "schemes", "sections", "seed"])
+def test_bad_flag_prints_usage_and_an_argparse_error(capsys, argv):
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    flag = argv[-2]
+    assert stderr.startswith("usage: ") and f"error: argument {flag}" in stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("text", ["-4", "x", "1.5"])
+def test_bad_seed_environment_exits_2_with_one_line(capsys, monkeypatch, text):
+    monkeypatch.setenv("CIRCLE_ROPE_SEED", text)
+    code, stdout, stderr = run(capsys, *ATTN[:-2])
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: bad seed {text!r}: expected a non-negative integer\n"
+
+
+def test_seed_environment_is_ignored_where_there_is_no_seed(capsys, monkeypatch):
+    monkeypatch.setenv("CIRCLE_ROPE_SEED", "-4")
+    assert run(capsys, *PTD)[0] == 0
+
+
+@pytest.mark.parametrize("seed", ["0", "7", "+7"])
+def test_seed_sources_agree(capsys, monkeypatch, tmp_path, seed):
+    monkeypatch.delenv("CIRCLE_ROPE_SEED", raising=False)
+    by_flag = run(capsys, *ATTN[:-2], "--seed", seed)
+    by_file = run(capsys, *ATTN[:-2], "--config", config(tmp_path, f"seed = {seed}\n"))
+    monkeypatch.setenv("CIRCLE_ROPE_SEED", seed)
+    by_env = run(capsys, *ATTN[:-2])
+    assert by_flag[0] == 0 and by_flag == by_file == by_env
+
+
+@pytest.mark.parametrize("layout, radius", [("i1x1,t1", "auto:1"), ("i64x64,t1", "auto:1e308")])
+def test_centered_stage_resolves_the_radius(capsys, layout, radius):
+    for stage in ("centered", "fused"):
+        code, stdout, stderr = run(capsys, "project", "--layout", layout, "--stage", stage,
+                                   "--radius", radius)
+        assert (code, stdout) == (2, "") and len(stderr.splitlines()) == 1, stderr

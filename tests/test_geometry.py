@@ -245,15 +245,15 @@ class TestRotateToPlane:
         assert np.allclose(out[0], 5.0 * basis.v)
 
     def test_full_pipeline_plane_equation(self):
-        projected, _ = cip_transform(GridSpec(3, 3), CipConfig(alpha=0.5, radius=FixedRadius(10.0)))
+        config = CipConfig(alpha=0.5, radius=FixedRadius(10.0))
+        projected = cip_transform(GridSpec(3, 3), config).projected
         assert np.all(np.abs(projected.sum(axis=1)) < 1e-9)
 
 
 class TestCipTransform:
     def test_3x3_circle_in_plane(self):
-        projected, centered = cip_transform(
-            GridSpec(3, 3), CipConfig(alpha=0.5, radius=FixedRadius(10.0))
-        )
+        stages = cip_transform(GridSpec(3, 3), CipConfig(alpha=0.5, radius=FixedRadius(10.0)))
+        projected, centered = stages.projected, stages.centered
         assert np.allclose(np.linalg.norm(projected, axis=1), 10.0, atol=1e-9)
         assert np.all(np.abs(projected.sum(axis=1)) < 1e-9)
         assert len(centered) == 9
@@ -263,15 +263,15 @@ class TestCipTransform:
             cip_transform(GridSpec(1, 1), CipConfig(radius=AutoRadius(1.0)))
 
     def test_1x1_fixed_radius(self):
-        projected, _ = cip_transform(GridSpec(1, 1), CipConfig(radius=FixedRadius(4.0)))
+        projected = cip_transform(GridSpec(1, 1), CipConfig(radius=FixedRadius(4.0))).projected
         basis = build_plane_basis(np.array([1.0, 1.0, 1.0]))
         assert np.allclose(projected[0], 4.0 * basis.u)
 
     def test_alpha_endpoints_same_circle(self):
         cfg0 = CipConfig(alpha=0.0, radius=FixedRadius(10.0))
         cfg1 = CipConfig(alpha=1.0, radius=FixedRadius(10.0))
-        p0, _ = cip_transform(GridSpec(3, 3), cfg0)
-        p1, _ = cip_transform(GridSpec(3, 3), cfg1)
+        p0 = cip_transform(GridSpec(3, 3), cfg0).projected
+        p1 = cip_transform(GridSpec(3, 3), cfg1).projected
         assert np.allclose(np.linalg.norm(p0, axis=1), 10.0, atol=1e-9)
         assert np.allclose(np.linalg.norm(p1, axis=1), 10.0, atol=1e-9)
         assert not np.allclose(p0, p1)
@@ -283,7 +283,7 @@ class TestCipTransform:
         w, h = (int(x) for x in rng.integers(1, 65, size=2))
         radius = float(rng.uniform(0.5, 20.0))
         config = CipConfig(alpha=alpha, radius=FixedRadius(radius))
-        projected, _ = cip_transform(GridSpec(w, h), config)
+        projected = cip_transform(GridSpec(w, h), config).projected
         basis = build_plane_basis(config.text_direction)
         assert np.allclose(np.linalg.norm(projected, axis=1), radius, atol=1e-9)
         assert np.all(np.abs(projected @ basis.n) < 1e-9)
@@ -294,9 +294,9 @@ class TestCipTransform:
         w, h = (int(x) for x in rng.integers(1, 33, size=2))
         radius = float(rng.uniform(1.0, 50.0))
         t = float(rng.uniform(-100, 100))
-        projected, _ = cip_transform(
+        projected = cip_transform(
             GridSpec(w, h), CipConfig(alpha=float(rng.uniform(0, 1)), radius=FixedRadius(radius))
-        )
+        ).projected
         apex = t * np.ones(3)
         dists = np.linalg.norm(projected - apex, axis=1)
         expected = math.sqrt(3 * t * t + radius * radius)

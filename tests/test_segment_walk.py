@@ -40,7 +40,8 @@ def reference(scheme, segments, config):
             block = [[counter, counter + j, counter + i] for j in range(h) for i in range(w)]
             step = max(w, h)
         else:
-            block = dual_frame_fusion(*cip_transform(seg.grid, config), config.beta) + counter
+            stages = cip_transform(seg.grid, config)
+            block = dual_frame_fusion(stages.projected, stages.centered, config.beta) + counter
             step = max(w, h)
         rows.extend(list(row) for row in block)
         modality.extend([IMAGE] * (w * h))
