@@ -91,7 +91,7 @@ def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str
     """
     values: dict[str, object] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -111,7 +111,7 @@ def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str
                     raise UsageError(f"bad config value {key}={val!r} in {path} "
                                      f"(choose from {', '.join(action.choices)})")
                 values[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     return values
 
@@ -202,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed:<R>, auto:<k>, or bare number (default: %(default)s)")
         p.add_argument("--beta", type=float, default=0.1,
                        help="fusion weight of the projected circle (default: %(default)s)")
-        p.add_argument("--format", choices=("csv", "json", "table"), default=fmt,
-                       help="output format (default: %(default)s)")
+        if fmt is not None:
+            p.add_argument("--format", choices=("csv", "json", "table"), default=fmt,
+                           help="output format (default: %(default)s)")
         p.add_argument("--config", help="key=value config file; flags override")
 
     p_ptd = sub.add_parser("ptd", help="per-token distance per scheme")
@@ -237,9 +238,13 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.Argument
 
 
 def _config_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """The options of every subcommand by dest: the keys a config file may set."""
+    """The options of every subcommand by dest: the keys a config file may set.
+
+    Not `--help`, `--config`, or a required option, which a file value could
+    never satisfy."""
     return {action.dest: action for sub in _subcommands(parser).values()
-            for action in sub._actions if action.option_strings and action.dest != "help"}
+            for action in sub._actions if action.option_strings and not action.required
+            and action.dest not in ("help", "config")}
 
 
 def main(argv: list[str] | None = None, out=None) -> int:

@@ -3,7 +3,7 @@
 The pipeline: center the grid, assign each point a mixed polar angle
 (spatial-origin angle blended with grid-index angle), place the points on a
 circle of chosen radius in a working XY plane, then rotate that circle into
-the 3D plane orthogonal to the text index direction. A final affine blend
+the 3D plane orthogonal to the text index line. A final affine blend
 (dual-frame fusion) interpolates between the projected circle and the
 centered grid.
 
@@ -14,7 +14,7 @@ the width coordinate. Text tokens live on the line t * (1, 1, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -67,10 +67,6 @@ class AutoRadius:
 RadiusStrategy = Union[FixedRadius, AutoRadius]
 
 
-def _unit_111() -> np.ndarray:
-    return np.array([1.0, 1.0, 1.0])
-
-
 @dataclass(frozen=True)
 class CipConfig:
     """Parameters of the circular projection.
@@ -78,25 +74,17 @@ class CipConfig:
     alpha: weight on the spatial-origin angle (1 - alpha on the grid-index angle).
     radius: FixedRadius or AutoRadius.
     beta: dual-frame fusion weight on the projected coordinates.
-    text_direction: direction of the text index line; serves as the circle normal.
     """
 
     alpha: float = 0.5
     radius: RadiusStrategy = FixedRadius(10.0)
     beta: float = 0.1
-    text_direction: np.ndarray = field(default_factory=_unit_111)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise GeometryError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise GeometryError(f"beta must be in [0, 1], got {self.beta}")
-        direction = np.asarray(self.text_direction, dtype=float)
-        if direction.shape != (3,):
-            raise GeometryError("text_direction must be a 3-vector")
-        if not np.linalg.norm(direction) > 0:
-            raise GeometryError("text_direction must have nonzero norm")
-        object.__setattr__(self, "text_direction", direction)
 
 
 @dataclass(frozen=True)
@@ -195,24 +183,15 @@ def map_to_circle(angles: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def build_plane_basis(text_direction: np.ndarray) -> PlaneBasis:
-    """Orthonormal basis of the plane orthogonal to the text direction.
+def build_plane_basis() -> PlaneBasis:
+    """Orthonormal basis of the plane orthogonal to the text line t * (1, 1, 1).
 
     n is the normalized direction, u = normalize((-n_y, n_x, 0)), v = n x u.
-    When n is parallel to the z axis that u is degenerate; fall back to
-    u = (1, 0, 0).
     """
-    direction = np.asarray(text_direction, dtype=float)
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        raise GeometryError("text_direction must have nonzero norm")
-    n = direction / norm
+    direction = np.ones(3)
+    n = direction / np.linalg.norm(direction)
     u_raw = np.array([-n[1], n[0], 0.0])
-    u_norm = np.linalg.norm(u_raw)
-    if u_norm < 1e-12:
-        u = np.array([1.0, 0.0, 0.0])
-    else:
-        u = u_raw / u_norm
+    u = u_raw / np.linalg.norm(u_raw)
     v = np.cross(n, u)
     return PlaneBasis(n=n, u=u, v=v)
 
@@ -232,7 +211,7 @@ class CipStages(NamedTuple):
 
     centered: the grid shifted to its midrange center.
     circle2d: the mixed angles on the circle, in the working XY plane.
-    projected: circle2d rotated into the plane orthogonal to the text direction.
+    projected: circle2d rotated into the plane orthogonal to the text line.
     fused: dual-frame fusion, beta * projected + (1 - beta) * centered.
     """
 
@@ -247,7 +226,7 @@ def cip_transform(grid: GridSpec, config: CipConfig) -> CipStages:
     centered, _ = centralize(grid_coords(grid))
     mixed = mix_angles(spatial_origin_angles(centered), grid_index_angles(grid), config.alpha)
     circle2d = map_to_circle(mixed, compute_radius(centered, config.radius))
-    projected = rotate_to_plane(circle2d, build_plane_basis(config.text_direction))
+    projected = rotate_to_plane(circle2d, build_plane_basis())
     return CipStages(centered, circle2d, projected,
                      dual_frame_fusion(projected, centered, config.beta))
 
@@ -258,8 +237,4 @@ def dual_frame_fusion(projected: np.ndarray, centered: np.ndarray, beta: float) 
     centered = np.asarray(centered, dtype=float)
     if projected.shape != centered.shape:
         raise GeometryError(f"point set shape mismatch: {projected.shape} vs {centered.shape}")
-    if beta == 1.0:
-        # Not 1 * projected + 0 * centered: an axis-aligned text direction
-        # gives projected -0.0 coordinates, which adding 0.0 turns into 0.0.
-        return projected.copy()
     return beta * projected + (1.0 - beta) * centered

@@ -145,8 +145,8 @@ def assign_circle(segments: list[Segment], config: CipConfig) -> IndexedSequence
 SCHEME_NAMES = ("hard", "unordered", "spatial", "circle")
 
 
-def assign(scheme: str, segments: list[Segment], config: CipConfig | None = None) -> IndexedSequence:
-    """Dispatch on scheme name; `config` is required for the circle scheme."""
+def assign(scheme: str, segments: list[Segment], config: CipConfig = CipConfig()) -> IndexedSequence:
+    """Dispatch on scheme name; only the circle scheme reads `config`."""
     if scheme == "hard":
         return assign_hard(segments)
     if scheme == "unordered":
@@ -154,5 +154,5 @@ def assign(scheme: str, segments: list[Segment], config: CipConfig | None = None
     if scheme == "spatial":
         return assign_spatial(segments)
     if scheme == "circle":
-        return assign_circle(segments, config if config is not None else CipConfig())
+        return assign_circle(segments, config)
     raise LayoutError(f"unknown scheme {scheme!r}")

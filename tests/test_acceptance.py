@@ -87,7 +87,7 @@ def test_criterion_2_equidistance_sweep():
 
 def test_criterion_3_plane_and_norm_invariants():
     rng = np.random.default_rng(3)
-    basis = build_plane_basis(np.ones(3))
+    basis = build_plane_basis()
     worst_norm = worst_plane = 0.0
     for _ in range(200):
         w = int(rng.integers(1, 33))

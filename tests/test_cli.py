@@ -143,6 +143,19 @@ class TestAttnCommand:
         code, text = run_cli("attn", "--layout", layout, "--layers", layers)
         assert (code, text) == (2, "")
 
+    def test_format_is_not_an_option(self, capsys):
+        code, text = run_cli("attn", "--layout", "i2x2,t2", "--layers", "1", "--head-dim", "8",
+                             "--format", "csv")
+        stderr = capsys.readouterr().err
+        assert (code, text) == (2, "")
+        assert stderr.startswith("usage: ") and "unrecognized arguments: --format csv" in stderr
+
+
+@pytest.mark.parametrize("command, listed", [("ptd", True), ("project", True), ("attn", False)])
+def test_help_lists_format_where_it_takes_effect(capsys, command, listed):
+    assert run_cli(command, "--help") == (0, "")
+    assert ("--format" in capsys.readouterr().out) == listed
+
 
 class TestConfigAndEnv:
     def test_config_file_with_flag_override(self, tmp_path):

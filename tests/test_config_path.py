@@ -25,8 +25,6 @@ SETTINGS = {
     "head_dim": (ATTN[:5] + ATTN[7:], "--head-dim", "16", "12"),
     "sections": (ATTN, "--sections", "2,1,1", "1,2,1"),
 }
-# required flags: a file value cannot stand in for them
-REQUIRED = {"layout", "stage", "config"}
 
 BAD_VALUES = ["alpha=x", "beta=x", "radius=abc", "radius=fixed:-1", "format=xml",
               "schemes=hard,square", "stage=warped", "schedule=sideways", "layers=abc",
@@ -48,7 +46,7 @@ def config(tmp_path, text):
 
 
 def test_every_config_settable_dest_is_covered():
-    assert set(SETTINGS) | REQUIRED == set(cli._config_options(cli.build_parser()))
+    assert set(SETTINGS) == set(cli._config_options(cli.build_parser()))
 
 
 @pytest.mark.parametrize("dest", sorted(SETTINGS))
@@ -70,6 +68,28 @@ def test_bad_file_value_exits_2_with_one_line_naming_the_file(capsys, tmp_path, 
     code, stdout, stderr = run(capsys, *COMMANDS[command], "--config", cfg)
     assert (code, stdout) == (2, "")
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ") and cfg in stderr
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("line", ["layout = i4x4,t2", "stage = fused", "config = other.cfg"])
+def test_layout_stage_or_config_key_exits_2_with_one_line_naming_the_file(capsys, tmp_path,
+                                                                           command, line):
+    # a required flag always overrides the file, and a nested config file is never read
+    cfg = config(tmp_path, line + "\n")
+    code, stdout, stderr = run(capsys, *COMMANDS[command], "--config", cfg)
+    assert (code, stdout) == (2, "")
+    key = line.split()[0]
+    assert stderr == f"error: unknown config key {key!r} in {cfg}\n"
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_file_that_is_not_utf8_exits_2_with_one_line_naming_the_file(capsys, tmp_path,
+                                                                             command):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"alpha = 0.3\n\xff\n")
+    code, stdout, stderr = run(capsys, *COMMANDS[command], "--config", str(path))
+    assert (code, stdout) == (2, "")
+    assert len(stderr.splitlines()) == 1 and stderr.startswith(f"error: cannot read config {path}")
 
 
 @pytest.mark.parametrize("argv", [
