@@ -25,11 +25,15 @@ from .schemes import ImageSegment, LayoutError, SCHEME_NAMES, Segment, TextSegme
 # every cell) and the (T, I) float64 logit table of an attention layer, 512 MiB
 # at the limit: `attn` on i128x128,t4096 (spatial, 2 layers, head_dim 64)
 # peaks at 526 MiB under tracemalloc, the table plus the rotated keys.
-# Layers bound the attn report, head_dim its rotation arrays.
+# Layers bound the attn report, head_dim its rotation arrays, and tokens x
+# head_dim attn's (tokens, head_dim) float64 arrays (queries, rotated queries,
+# angles, cos, sin). At these limits `attn` peaks at 722 MB of RSS at worst
+# (measured on t256,i256x1000, head_dim 64, all schemes, 2 layers).
 MAX_TOKENS = 1 << 18
 MAX_CELLS = 1 << 26
 MAX_LAYERS = 1 << 10
 MAX_HEAD_DIM = 1 << 9
+MAX_TOKEN_DIMS = 1 << 24
 
 
 class UsageError(ValueError, argparse.ArgumentTypeError):
@@ -91,7 +95,7 @@ def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str
     """
     values: dict[str, object] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -116,11 +120,16 @@ def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str
     return values
 
 
+def _token_counts(segments: list[Segment]) -> tuple[int, int]:
+    text = sum(seg.length for seg in segments if isinstance(seg, TextSegment))
+    image = sum(seg.grid.num_tokens for seg in segments if isinstance(seg, ImageSegment))
+    return text, image
+
+
 def _layout(args: argparse.Namespace, pairs: bool = True) -> list[Segment]:
     """The --layout segments, within MAX_TOKENS and, if `pairs`, MAX_CELLS."""
     segments = parse_layout(args.layout)
-    text = sum(seg.length for seg in segments if isinstance(seg, TextSegment))
-    image = sum(seg.grid.num_tokens for seg in segments if isinstance(seg, ImageSegment))
+    text, image = _token_counts(segments)
     if text + image > MAX_TOKENS:
         raise UsageError(f"layout has {text + image} tokens, over the limit of {MAX_TOKENS}")
     if pairs and text * image > MAX_CELLS:
@@ -180,6 +189,10 @@ def cmd_attn(args: argparse.Namespace, out) -> int:
     segments = _layout(args)
     config = CipConfig(args.alpha, args.radius, args.beta)
     head_dim = _bounded(args, "head_dim", MAX_HEAD_DIM)
+    tokens = sum(_token_counts(segments))
+    if tokens * head_dim > MAX_TOKEN_DIMS:
+        raise UsageError(f"layout has {tokens} tokens x head-dim {head_dim} = "
+                         f"{tokens * head_dim}, over the limit of {MAX_TOKEN_DIMS}")
     half = head_dim // 2
     sections = args.sections or (half - 2 * (half // 4), half // 4, half // 4)
     params = RotaryParams(head_dim=head_dim, sections=sections)

@@ -19,7 +19,8 @@ import numpy as np
 from .geometry import CipConfig
 from .metrics import ptd_of
 from .rope import RotaryParams, apply_rotary, rotate_key, rotation_angles
-from .schemes import IMAGE, TEXT, IndexedSequence, Segment, assign
+from .schemes import IMAGE, SCHEME_NAMES, TEXT, IndexedSequence, Segment, TextSegment, \
+    assign
 
 
 class HarnessError(ValueError):
@@ -129,20 +130,15 @@ def run_experiment(
     schedule: LayerSchedule,
     params: RotaryParams,
     seed: int,
-    schemes: tuple[str, ...] = ("hard", "unordered", "spatial", "circle"),
+    schemes: tuple[str, ...] = SCHEME_NAMES,
 ) -> ExperimentReport:
     """Measure per-layer logit dispersion from text queries to image keys.
 
     One random query per text token, one shared key for all image tokens;
     all randomness comes from `seed`.
     """
-    # Circle's "original" layers run on the spatial indices, so they share
-    # the spatial scheme's stats: the cache is keyed by index assignment.
-    needed = [*schemes, "spatial"] if "circle" in schemes else schemes
-    sequences = {scheme: assign(scheme, segments, config) for scheme in dict.fromkeys(needed)}
-    any_seq = sequences[schemes[0]]
-    n_text = len(any_seq.indices(TEXT))
-    if n_text == 0 or len(any_seq) == n_text:
+    n_text = sum(seg.length for seg in segments if isinstance(seg, TextSegment))
+    if n_text == 0 or all(isinstance(seg, TextSegment) for seg in segments):
         raise HarnessError("experiment layout needs both text and image tokens")
 
     rng = np.random.default_rng(seed)
@@ -150,6 +146,8 @@ def run_experiment(
     queries = rng.standard_normal((n_text, params.head_dim)) * scale
     key = rng.standard_normal(params.head_dim) * scale
 
+    # Circle's "original" layers run on the spatial indices, so they share
+    # the spatial scheme's stats: the cache is keyed by index assignment.
     cache: dict[str, LayerStats] = {}
     stats: dict[str, dict[int, LayerStats]] = {}
     for scheme in schemes:
@@ -159,7 +157,8 @@ def run_experiment(
             if scheme == "circle" and schedule.variant(layer) is Variant.ORIGINAL:
                 active = "spatial"
             if active not in cache:
-                cache[active] = _layer_stats(sequences[active], queries, key, params)
+                cache[active] = _layer_stats(assign(active, segments, config), queries, key,
+                                             params)
             per_layer[layer] = cache[active]
         stats[scheme] = per_layer
     return ExperimentReport(stats)

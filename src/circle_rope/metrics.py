@@ -27,59 +27,56 @@ _AXES = {"scalar": (0,), "planar": (1, 2), "3d": (0, 1, 2)}
 
 
 class DistanceMatrix:
-    """Text-to-image distance table. Rows are text tokens, columns image tokens.
+    """Text-to-image distances. Rows are text tokens, columns image tokens.
 
-    `convention` records which axes entered the distance: "scalar" (both
-    modalities replicated, 1D gap), "planar" (temporal axis dropped), or "3d".
-    `shape` is (T, I).
+    Built from the (T, 3) text and (I, 3) image indices, it holds only
+    `shape` (T, I), the `convention` and one contiguous column per axis the
+    convention measures. The convention adapts to how much of the 3-axis
+    index encodes position, comparing indices by exact `==`: "scalar" when
+    every index is a replication (s, s, s), the 1D gap |s_t - s_i| rather
+    than a 3D distance sqrt(3) larger; "planar" when text indices are
+    replicated and image tokens share one temporal component, which then
+    only duplicates the sequence counter and is dropped; otherwise "3d".
 
-    Built by `distance_matrix`, it holds only one contiguous column per axis
-    of the text and image indices; `values` builds the (T, I) table on first
-    read and keeps it. Built by hand from a table, it holds that table.
+    `values` builds a new (T, I) table on each read and keeps none. Distances
+    that overflow float64 come out as inf; `ptd` rejects them.
     """
 
-    def __init__(self, values: np.ndarray, convention: str) -> None:
-        self._values = values
-        self.convention = convention
-        self.shape = values.shape
-
-    @classmethod
-    def _of_indices(cls, text: np.ndarray, image: np.ndarray, convention: str) -> DistanceMatrix:
-        matrix = cls.__new__(cls)
-        matrix._values = None
-        matrix.convention = convention
-        matrix.shape = (len(text), len(image))
-        matrix._columns = [(np.ascontiguousarray(text[:, a]), np.ascontiguousarray(image[:, a]))
-                           for a in _AXES[convention]]
-        return matrix
+    def __init__(self, text: np.ndarray, image: np.ndarray) -> None:
+        if len(text) == 0 or len(image) == 0:
+            raise MetricError("PTD requires both modalities")
+        text_replicated = _all_replicated(text)
+        if text_replicated and _all_replicated(image):
+            self.convention = "scalar"
+        elif text_replicated and np.all(image[:, 0] == image[0, 0]):
+            self.convention = "planar"
+        else:
+            self.convention = "3d"
+        self.shape = (len(text), len(image))
+        self._columns = [(np.ascontiguousarray(text[:, a]), np.ascontiguousarray(image[:, a]))
+                         for a in _AXES[self.convention]]
 
     @property
     @np.errstate(over="ignore", invalid="ignore")
     def values(self) -> np.ndarray:
-        if self._values is None:
-            rows, width = self.shape
-            values = np.empty(self.shape)
-            step = max(1, _BLOCK // width)
-            diff = np.empty((min(step, rows), width))
-            for first in range(0, rows, step):
-                _fill_rows(self, first, min(first + step, rows), values[first:first + step], diff)
-            self._values = values
-        return self._values
+        rows, width = self.shape
+        values = np.empty(self.shape)
+        step = max(1, _BLOCK // width)
+        diff = np.empty((min(step, rows), width))
+        for first in range(0, rows, step):
+            _fill_rows(self, first, min(first + step, rows), values[first:first + step], diff)
+        return values
 
 
 def _fill_rows(matrix: DistanceMatrix, first: int, last: int, out: np.ndarray,
                diff: np.ndarray) -> None:
     """Write rows first..last-1 of the distance table into `out` (last - first, I).
 
-    A hand-built or already-read table is copied. Otherwise squares are summed
-    axis by axis, then square-rooted: the same arithmetic, per element, as a
-    norm over a (T, I, len(axes)) array (the first square goes straight into
-    `out`, since 0 + x == x). The scalar convention takes the absolute gap.
-    `diff` is scratch of at least `out`'s shape.
+    Squares are summed axis by axis, then square-rooted: the same arithmetic,
+    per element, as a norm over a (T, I, len(axes)) array (the first square
+    goes straight into `out`, since 0 + x == x). The scalar convention takes
+    the absolute gap. `diff` is scratch of at least `out`'s shape.
     """
-    if matrix._values is not None:
-        np.copyto(out, matrix._values[first:last])
-        return
     (text, image), *rest = matrix._columns
     np.subtract(text[first:last, None], image[None, :], out=out)
     if matrix.convention == "scalar":
@@ -98,32 +95,7 @@ def _all_replicated(indices: np.ndarray) -> bool:
 
 
 def distance_matrix(seq: IndexedSequence) -> DistanceMatrix:
-    """Euclidean distances between every text index and every image index.
-
-    The distance convention adapts to how much of the 3-axis index actually
-    encodes position. When every index is an exact scalar replication
-    (s, s, s), distances collapse to the 1D gap |s_t - s_i| instead of the 3D
-    distance (which would be sqrt(3) larger). When text indices are replicated
-    but image tokens carry grid coordinates with a constant temporal
-    component, the temporal axis duplicates the sequence counter and is
-    dropped, leaving the 2D height/width distance. Otherwise the full 3D
-    distance is used.
-
-    Nothing of size T x I is made here: `values` and `ptd` compute the
-    distances. Distances that overflow float64 come out as inf; `ptd`
-    rejects them.
-    """
-    text = seq.indices(TEXT)
-    image = seq.indices(IMAGE)
-    if len(text) == 0 or len(image) == 0:
-        raise MetricError("PTD requires both modalities")
-    if _all_replicated(text) and _all_replicated(image):
-        convention = "scalar"
-    elif _all_replicated(text) and np.all(image[:, 0] == image[0, 0]):
-        convention = "planar"
-    else:
-        convention = "3d"
-    return DistanceMatrix._of_indices(text, image, convention)
+    return DistanceMatrix(seq.indices(TEXT), seq.indices(IMAGE))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -136,8 +108,6 @@ def ptd(matrix: DistanceMatrix) -> float:
     """
     rows, width = matrix.shape
     size = rows * width
-    if size == 0:
-        raise MetricError(f"PTD of an empty {matrix.shape} distance table is undefined")
     span = min(rows, (_BLOCK - 1) // width + 2)  # the most rows one leaf can touch
     # One allocation for both: freed as two, they can reach the allocator's
     # trim threshold, and each call then page-faults its buffers back in.

@@ -41,8 +41,11 @@ def reference_distances(text, image, convention):
 @settings(max_examples=60, deadline=None)
 @given(shape=shapes, seed=seeds, scale=st.floats(1e-3, 1e6))
 def test_ptd_equals_unblocked_reference(shape, seed, scale):
-    values = np.random.default_rng(seed).uniform(0, scale, size=shape)
-    assert ptd(DistanceMatrix(values, "3d")) == reference_ptd(values)
+    n_text, n_image = shape
+    rng = np.random.default_rng(seed)
+    text = rng.uniform(0, scale, size=(n_text, 3))
+    image = rng.uniform(0, scale, size=(n_image, 3))
+    assert ptd(DistanceMatrix(text, image)) == reference_ptd(reference_distances(text, image, "3d"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -68,9 +71,10 @@ def test_distance_matrix_equals_norm(convention, shape, seed, scale):
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (3, 0)])
-def test_empty_table_is_a_metric_error(shape):
-    with pytest.raises(MetricError):
-        ptd(DistanceMatrix(np.zeros(shape), "3d"))
+def test_empty_side_is_a_metric_error(shape):
+    n_text, n_image = shape
+    with pytest.raises(MetricError, match="both modalities"):
+        DistanceMatrix(np.zeros((n_text, 3)), np.ones((n_image, 3)))
 
 
 def _traced_peak(fn, *args):
@@ -92,12 +96,12 @@ def test_working_set_is_one_table_plus_blocks():
     assert peak < MIB
 
 
-def test_ptd_keeps_no_reference_to_the_table():
+def test_ptd_keeps_no_reference_to_the_matrix():
     matrix = distance_matrix(assign("spatial", parse_layout("i64x64,t32"), CipConfig()))
     gc.disable()
     try:
         ptd(matrix)
-        ref = weakref.ref(matrix.values)
+        ref = weakref.ref(matrix)
         del matrix
         assert ref() is None
     finally:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from circle_rope.cli import MAX_CELLS, MAX_HEAD_DIM, MAX_LAYERS, MAX_TOKENS, main
+from circle_rope import cli
+from circle_rope.cli import MAX_CELLS, MAX_HEAD_DIM, MAX_LAYERS, MAX_TOKEN_DIMS, MAX_TOKENS, main
 from circle_rope.geometry import GeometryError
 from circle_rope.schemes import LayoutError, parse_layout
 
@@ -47,6 +48,16 @@ class TestLimits:
         assert_refused(capsys, "attn", "--layout", "i3x3,t5", "--head-dim",
                        str(MAX_HEAD_DIM + 1))
 
+    def test_tokens_times_head_dim(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_experiment reached")
+
+        monkeypatch.setattr(cli, "run_experiment", unreachable)
+        # one token more than the limit allows at the largest head_dim
+        assert MAX_TOKEN_DIMS // MAX_HEAD_DIM == 32768
+        assert_refused(capsys, "attn", "--layout", "t32768,i1x1", "--head-dim",
+                       str(MAX_HEAD_DIM))
+
     def test_limits_read_from_a_config_file(self, capsys, tmp_path):
         config = tmp_path / "c.cfg"
         config.write_text(f"layers = {MAX_LAYERS + 1}\n")
@@ -62,9 +73,15 @@ class TestLimits:
 
     def test_every_benchmark_input_is_within_the_limits(self):
         layouts = [layout for seed in range(1, 6) for layout in W.ptd_sweep_inputs(seed)]
-        layouts += [item["layout"] for seed in range(1, 6) for item in W.attn_depth_inputs(seed)]
+        attn_runs = [(item["layout"], item["head_dim"])
+                     for seed in range(1, 6) for item in W.attn_depth_inputs(seed)]
+        layouts += [layout for layout, _ in attn_runs]
         layouts += [case["argv"][case["argv"].index("--layout") + 1]
                     for case in W.cli_cases() if "--layout" in case["argv"]]
+        attn_runs += [(case["argv"][case["argv"].index("--layout") + 1],
+                       int(W._cli_settings(case)["head_dim"]))
+                      for case in W.cli_cases()
+                      if case["argv"][0] == "attn" and "--layout" in case["argv"]]
         for layout in layouts:
             try:
                 parse_layout(layout)
@@ -72,6 +89,8 @@ class TestLimits:
                 continue  # an invalid-input case
             text, image = W.token_counts(layout)
             assert text + image <= MAX_TOKENS and text * image <= MAX_CELLS, layout
+        for layout, head_dim in attn_runs:
+            assert sum(W.token_counts(layout)) * head_dim <= MAX_TOKEN_DIMS, (layout, head_dim)
         for case in W.cli_cases():
             for flag, limit in (("--layers", MAX_LAYERS), ("--head-dim", MAX_HEAD_DIM)):
                 if flag in case["argv"]:

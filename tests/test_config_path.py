@@ -92,6 +92,16 @@ def test_config_file_that_is_not_utf8_exits_2_with_one_line_naming_the_file(caps
     assert len(stderr.splitlines()) == 1 and stderr.startswith(f"error: cannot read config {path}")
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_file_with_a_byte_order_mark_is_read(capsys, tmp_path, command):
+    plain = config(tmp_path, "alpha = 0.3\n")
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + b"alpha = 0.3\n")
+    expected = run(capsys, *COMMANDS[command], "--config", plain)
+    assert expected[0] == 0
+    assert run(capsys, *COMMANDS[command], "--config", str(marked)) == expected
+
+
 @pytest.mark.parametrize("argv", [
     ["project", "--layout", "i3x3", "--stage", "warped"],
     ["ptd", "--layout", "i3x3,t5", "--schemes", "hard,square"],

@@ -68,10 +68,11 @@ class TestPtd:
 
     def test_nonnegative_and_zero_iff_constant_rows(self):
         rng = np.random.default_rng(3)
-        values = rng.uniform(0, 10, size=(4, 6))
-        assert ptd(DistanceMatrix(values, "3d")) > 0
-        constant = np.repeat(rng.uniform(0, 10, size=(4, 1)), 6, axis=1)
-        assert ptd(DistanceMatrix(constant, "3d")) == pytest.approx(0.0, abs=1e-12)
+        text = rng.uniform(0, 10, size=(4, 3))
+        assert ptd(DistanceMatrix(text, rng.uniform(0, 10, size=(6, 3)))) > 0
+        # every image token at one point: each row is constant
+        one_point = np.repeat(rng.uniform(0, 10, size=(1, 3)), 6, axis=0)
+        assert ptd(DistanceMatrix(text, one_point)) == pytest.approx(0.0, abs=1e-12)
 
     def test_translation_invariance(self):
         config = CipConfig(radius=FixedRadius(10.0), beta=0.7)
@@ -80,18 +81,17 @@ class TestPtd:
         image = seq.indices("image")
         shift = np.array([2.5, -7.0, 11.0])
 
-        def dist_3d(a, b):
-            return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-
-        base = ptd(DistanceMatrix(dist_3d(text, image), "3d"))
-        moved = ptd(DistanceMatrix(dist_3d(text + shift, image + shift), "3d"))
-        assert moved == pytest.approx(base, abs=1e-12)
+        base = DistanceMatrix(text, image)
+        moved = DistanceMatrix(text + shift, image + shift)
+        assert base.convention == moved.convention == "3d"
+        assert ptd(moved) == pytest.approx(ptd(base), abs=1e-12)
 
     def test_scale_homogeneity(self):
         rng = np.random.default_rng(5)
-        values = rng.uniform(0, 10, size=(8, 12))
-        assert ptd(DistanceMatrix(3.0 * values, "3d")) == pytest.approx(
-            3.0 * ptd(DistanceMatrix(values, "3d")), abs=1e-12
+        text = rng.uniform(0, 10, size=(8, 3))
+        image = rng.uniform(0, 10, size=(12, 3))
+        assert ptd(DistanceMatrix(3.0 * text, 3.0 * image)) == pytest.approx(
+            3.0 * ptd(DistanceMatrix(text, image)), abs=1e-12
         )
 
     @pytest.mark.parametrize("seed", range(8))
@@ -99,7 +99,9 @@ class TestPtd:
         rng = np.random.default_rng(seed)
         n_text = int(rng.integers(1, 65))
         n_image = int(rng.integers(1, 513))
-        values = rng.uniform(0, 100, size=(n_text, n_image))
-        assert ptd(DistanceMatrix(values, "3d")) == pytest.approx(
+        text = rng.uniform(0, 100, size=(n_text, 3))
+        image = rng.uniform(0, 100, size=(n_image, 3))
+        values = np.linalg.norm(text[:, None, :] - image[None, :, :], axis=2)
+        assert ptd(DistanceMatrix(text, image)) == pytest.approx(
             brute_force_ptd(values), abs=1e-12
         )
