@@ -1,6 +1,9 @@
 """Command-line front end: PTD tables, projection stage dumps, attention runs.
 
 Exit codes: 0 success, 2 usage or validation error, 1 internal error.
+
+At load time only the numpy-free `spec` is imported. Each subcommand imports
+the compute modules it uses once its input is checked.
 """
 
 from __future__ import annotations
@@ -10,14 +13,8 @@ import json
 import os
 import sys
 
-from .geometry import AutoRadius, CipConfig, CipStages, FixedRadius, GeometryError, \
-    cip_transform
-from .harness import HarnessError, RotaryParams, ScheduleStrategy, make_schedule, \
-    run_experiment
-from .metrics import MetricError, distance_matrix, ptd
-from .rope import RopeError
-from .schemes import ImageSegment, LayoutError, SCHEME_NAMES, Segment, TextSegment, assign, \
-    parse_layout
+from .spec import SCHEME_NAMES, STAGE_NAMES, AutoRadius, CipConfig, CircleRopeError, \
+    FixedRadius, ImageSegment, ScheduleStrategy, Segment, TextSegment, parse_layout
 
 # Size limits, checked before anything of that size is allocated; beyond them
 # the CLI exits 2. Tokens bound the index arrays of every subcommand.
@@ -53,7 +50,7 @@ def parse_radius(text: str) -> FixedRadius | AutoRadius:
         if text.startswith("auto:"):
             return AutoRadius(float(text.split(":", 1)[1]))
         return FixedRadius(float(text))
-    except (ValueError, GeometryError) as exc:
+    except ValueError as exc:  # a GeometryError among them
         raise UsageError(f"bad radius {text!r}: {exc}") from None
 
 
@@ -163,6 +160,8 @@ def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
 def cmd_ptd(args: argparse.Namespace, out) -> int:
     segments = _layout(args)
     config = CipConfig(args.alpha, args.radius, args.beta)
+    from .metrics import distance_matrix, ptd
+    from .schemes import assign
     rows = []
     for scheme in args.schemes:
         matrix = distance_matrix(assign(scheme, segments, config))
@@ -177,9 +176,10 @@ def cmd_project(args: argparse.Namespace, out) -> int:
     images = [seg for seg in segments if isinstance(seg, ImageSegment)]
     if not images:
         raise UsageError("layout has no image segment to project")
+    from .geometry import cip_transform
     rows = []
     for seg in images:
-        for point in getattr(cip_transform(seg.grid, config), args.stage):
+        for point in getattr(cip_transform(seg.grid, config), args.stage).tolist():
             rows.append([str(len(rows))] + [_fmt(c) for c in point])
     _emit_rows(["token_id", "x", "y", "z"], rows, args.format, out)
     return 0
@@ -193,11 +193,15 @@ def cmd_attn(args: argparse.Namespace, out) -> int:
     if tokens * head_dim > MAX_TOKEN_DIMS:
         raise UsageError(f"layout has {tokens} tokens x head-dim {head_dim} = "
                          f"{tokens * head_dim}, over the limit of {MAX_TOKEN_DIMS}")
+    layers = _bounded(args, "layers", MAX_LAYERS)
+    seed = parse_seed(os.environ.get("CIRCLE_ROPE_SEED") or "0") if args.seed is None else args.seed
     half = head_dim // 2
     sections = args.sections or (half - 2 * (half // 4), half // 4, half // 4)
+    # rope and harness check head-dim parity, sections, layers and text
+    from .harness import make_schedule, run_experiment
+    from .rope import RotaryParams
     params = RotaryParams(head_dim=head_dim, sections=sections)
-    schedule = make_schedule(_bounded(args, "layers", MAX_LAYERS), ScheduleStrategy(args.schedule))
-    seed = parse_seed(os.environ.get("CIRCLE_ROPE_SEED") or "0") if args.seed is None else args.seed
+    schedule = make_schedule(layers, ScheduleStrategy(args.schedule))
     report = run_experiment(segments, config, schedule, params, seed=seed, schemes=args.schemes)
     out.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     return 0
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_proj = sub.add_parser("project", help="dump projection pipeline stages")
     add_common(p_proj, "csv")
-    p_proj.add_argument("--stage", required=True, choices=CipStages._fields)
+    p_proj.add_argument("--stage", required=True, choices=STAGE_NAMES)
     p_proj.set_defaults(func=cmd_project)
 
     p_attn = sub.add_parser("attn", help="toy attention dispersion report")
@@ -274,7 +278,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return args.func(args, out)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (UsageError, LayoutError, GeometryError, MetricError, RopeError, HarnessError) as exc:
+    except (UsageError, CircleRopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -15,76 +15,14 @@ the width coordinate. Text tokens live on the line t * (1, 1, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
+# re-exported, so that geometry.CipConfig and the like keep resolving
+from .spec import AutoRadius, CipConfig, FixedRadius, GeometryError, GridSpec, RadiusStrategy
+
 TWO_PI = 2.0 * np.pi
-
-
-class GeometryError(ValueError):
-    """Invalid input to a geometry transform."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid of image tokens: `width` columns by `height` rows."""
-
-    width: int
-    height: int
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise GeometryError(f"grid must be at least 1x1, got {self.width}x{self.height}")
-
-    @property
-    def num_tokens(self) -> int:
-        return self.width * self.height
-
-
-@dataclass(frozen=True)
-class FixedRadius:
-    """Use a predefined constant circle radius."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (self.value > 0 and np.isfinite(self.value)):
-            raise GeometryError(f"fixed radius must be positive and finite, got {self.value}")
-
-
-@dataclass(frozen=True)
-class AutoRadius:
-    """Scale the radius from the spread of the centered points: k * max L2 norm."""
-
-    k: float
-
-    def __post_init__(self) -> None:
-        if not (self.k > 0 and np.isfinite(self.k)):
-            raise GeometryError(f"auto radius factor must be positive and finite, got {self.k}")
-
-
-RadiusStrategy = Union[FixedRadius, AutoRadius]
-
-
-@dataclass(frozen=True)
-class CipConfig:
-    """Parameters of the circular projection.
-
-    alpha: weight on the spatial-origin angle (1 - alpha on the grid-index angle).
-    radius: FixedRadius or AutoRadius.
-    beta: dual-frame fusion weight on the projected coordinates.
-    """
-
-    alpha: float = 0.5
-    radius: RadiusStrategy = FixedRadius(10.0)
-    beta: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise GeometryError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise GeometryError(f"beta must be in [0, 1], got {self.beta}")
 
 
 @dataclass(frozen=True)

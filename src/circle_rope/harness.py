@@ -16,27 +16,15 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import CipConfig
 from .metrics import ptd_of
 from .rope import RotaryParams, apply_rotary, rotate_key, rotation_angles
-from .schemes import IMAGE, SCHEME_NAMES, TEXT, IndexedSequence, Segment, TextSegment, \
-    assign
-
-
-class HarnessError(ValueError):
-    pass
+from .schemes import IMAGE, TEXT, IndexedSequence, assign
+from .spec import SCHEME_NAMES, CipConfig, HarnessError, ScheduleStrategy, Segment, TextSegment
 
 
 class Variant(str, Enum):
     ORIGINAL = "original"
     CIRCLE = "circle"
-
-
-class ScheduleStrategy(str, Enum):
-    ALL_CIRCLE = "all"
-    UPPER_HALF_CIRCLE = "upper"
-    LOWER_HALF_CIRCLE = "lower"
-    ALTERNATING = "alt"
 
 
 @dataclass(frozen=True)

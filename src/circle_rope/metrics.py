@@ -13,10 +13,7 @@ import math
 import numpy as np
 
 from .schemes import IMAGE, TEXT, IndexedSequence
-
-
-class MetricError(ValueError):
-    pass
+from .spec import MetricError
 
 
 # Cells per block: 2**15 float64s are 256 KiB, small enough to stay in cache.

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class RopeError(ValueError):
-    pass
+from .spec import RopeError
 
 
 @dataclass(frozen=True)

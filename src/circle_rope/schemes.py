@@ -9,32 +9,15 @@ onto the projected circle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from .geometry import CipConfig, GridSpec, cip_transform, grid_coords
+from .geometry import cip_transform, grid_coords
+# re-exported, so that schemes.parse_layout and the like keep resolving
+from .spec import SCHEME_NAMES, CipConfig, GridSpec, ImageSegment, LayoutError, Segment, \
+    TextSegment, parse_layout
 
-
-class LayoutError(ValueError):
-    """Malformed sequence layout."""
-
-
-@dataclass(frozen=True)
-class TextSegment:
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise LayoutError(f"text run length must be >= 1, got {self.length}")
-
-
-@dataclass(frozen=True)
-class ImageSegment:
-    grid: GridSpec
-
-
-Segment = Union[TextSegment, ImageSegment]
 
 TEXT = "text"
 IMAGE = "image"
@@ -56,31 +39,6 @@ class IndexedSequence:
         if modality is None:
             return self.index
         return self.index[self.modality == modality]
-
-
-def parse_layout(text: str) -> list[Segment]:
-    """Parse the compact layout grammar: `t<N>` text runs, `i<W>x<H>` images.
-
-    Segments are comma-separated, e.g. "i3x3,t5".
-    """
-    segments: list[Segment] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise LayoutError(f"empty segment in layout {text!r}")
-        try:
-            if part.startswith("t"):
-                segments.append(TextSegment(int(part[1:])))
-            elif part.startswith("i"):
-                w, h = part[1:].split("x")
-                segments.append(ImageSegment(GridSpec(width=int(w), height=int(h))))
-            else:
-                raise ValueError
-        except (ValueError, IndexError):
-            raise LayoutError(f"bad layout segment {part!r} (expected t<N> or i<W>x<H>)") from None
-    if not segments:
-        raise LayoutError("layout must contain at least one segment")
-    return segments
 
 
 def _line(start: int, n: int) -> np.ndarray:
@@ -140,9 +98,6 @@ def assign_circle(segments: list[Segment], config: CipConfig) -> IndexedSequence
         fused = cip_transform(grid, config).fused + float(base)
         return fused, base + max(grid.width, grid.height)
     return _walk(segments, block)
-
-
-SCHEME_NAMES = ("hard", "unordered", "spatial", "circle")
 
 
 def assign(scheme: str, segments: list[Segment], config: CipConfig = CipConfig()) -> IndexedSequence:

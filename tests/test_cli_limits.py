@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from circle_rope import cli
+from circle_rope import harness
 from circle_rope.cli import MAX_CELLS, MAX_HEAD_DIM, MAX_LAYERS, MAX_TOKEN_DIMS, MAX_TOKENS, main
 from circle_rope.geometry import GeometryError
 from circle_rope.schemes import LayoutError, parse_layout
@@ -52,7 +52,7 @@ class TestLimits:
         def unreachable(*args, **kwargs):
             raise AssertionError("run_experiment reached")
 
-        monkeypatch.setattr(cli, "run_experiment", unreachable)
+        monkeypatch.setattr(harness, "run_experiment", unreachable)
         # one token more than the limit allows at the largest head_dim
         assert MAX_TOKEN_DIMS // MAX_HEAD_DIM == 32768
         assert_refused(capsys, "attn", "--layout", "t32768,i1x1", "--head-dim",

@@ -6,6 +6,7 @@ import pytest
 from circle_rope.geometry import (
     AutoRadius,
     CipConfig,
+    CipStages,
     FixedRadius,
     GeometryError,
     GridSpec,
@@ -21,6 +22,7 @@ from circle_rope.geometry import (
     rotate_to_plane,
     spatial_origin_angles,
 )
+from circle_rope.spec import STAGE_NAMES
 
 TWO_PI = 2 * math.pi
 
@@ -336,3 +338,8 @@ def test_config_validation():
         CipConfig(beta=-0.1)
     with pytest.raises(GeometryError):
         FixedRadius(0.0)
+
+
+def test_stage_names_are_the_cip_stages_fields():
+    # the CLI offers STAGE_NAMES as --stage choices without importing geometry
+    assert STAGE_NAMES == CipStages._fields

@@ -1,0 +1,76 @@
+"""What a CLI call imports. Rejected input exits 2 before numpy is loaded,
+and each subcommand loads only the compute modules it uses.
+
+Each check runs `cli.main` in a fresh child process and reads the child's
+`sys.modules` after every call.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads as W  # noqa: E402
+
+# Runs each argv through cli.main and prints, per call, the exit code and
+# the numpy and circle_rope modules loaded so far.
+CHILD = """
+import io, json, sys
+from circle_rope import cli
+calls = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv, out=io.StringIO())
+    calls.append([code, sorted(name for name in sys.modules
+                               if name == "numpy" or name.startswith("circle_rope."))])
+print(json.dumps(calls))
+"""
+
+# Rejected by checks that live in rope and harness, next to the code they
+# guard; these calls load numpy before they exit 2.
+ATTN_ONLY = ("invalid-odd-head-dim", "invalid-zero-layers", "invalid-attn-no-text")
+
+
+def loaded_after(argvs, cwd):
+    env = {k: v for k, v in os.environ.items() if k != "CIRCLE_ROPE_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)], capture_output=True,
+                          text=True, cwd=cwd, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_rejected_input_exits_before_numpy_is_imported(tmp_path):
+    rejected = [case for case in W.cli_cases()
+                if case["id"].startswith(("invalid-", "bad-", "missing-"))]
+    W.write_cli_configs(rejected, str(tmp_path))
+    # the numpy-free rejections first: modules stay loaded from call to call
+    rejected.sort(key=lambda case: case["id"] in ATTN_ONLY)
+    assert len(rejected) == 18 and {case["id"] for case in rejected[-3:]} == set(ATTN_ONLY)
+    calls = loaded_after([W.cli_argv(case, str(tmp_path)) for case in rejected], tmp_path)
+    for case, (code, modules) in zip(rejected, calls):
+        assert code == 2, case["id"]
+        if case["id"] not in ATTN_ONLY:
+            assert "numpy" not in modules, case["id"]
+
+
+def subcommand_modules(argv, tmp_path):
+    [(code, modules)] = loaded_after([argv], tmp_path)
+    assert code == 0
+    return {name.split(".")[1] for name in modules if name.startswith("circle_rope.")}
+
+
+def test_project_loads_no_metrics_rope_or_harness(tmp_path):
+    modules = subcommand_modules(["project", "--layout", "i3x3,t5", "--stage", "fused"],
+                                 tmp_path)
+    assert "geometry" in modules
+    assert not modules & {"metrics", "rope", "harness"}
+
+
+def test_ptd_loads_no_rope_or_harness(tmp_path):
+    modules = subcommand_modules(["ptd", "--layout", "i3x3,t5"], tmp_path)
+    assert {"geometry", "schemes", "metrics"} <= modules
+    assert not modules & {"rope", "harness"}
