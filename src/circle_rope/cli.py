@@ -14,7 +14,7 @@ import os
 import sys
 
 from .spec import SCHEME_NAMES, STAGE_NAMES, AutoRadius, CipConfig, CircleRopeError, \
-    FixedRadius, ImageSegment, ScheduleStrategy, Segment, TextSegment, parse_layout
+    FixedRadius, ImageSegment, ScheduleStrategy, Segment, parse_layout, token_counts
 
 # Size limits, checked before anything of that size is allocated; beyond them
 # the CLI exits 2. Tokens bound the index arrays of every subcommand.
@@ -117,16 +117,10 @@ def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str
     return values
 
 
-def _token_counts(segments: list[Segment]) -> tuple[int, int]:
-    text = sum(seg.length for seg in segments if isinstance(seg, TextSegment))
-    image = sum(seg.grid.num_tokens for seg in segments if isinstance(seg, ImageSegment))
-    return text, image
-
-
 def _layout(args: argparse.Namespace, pairs: bool = True) -> list[Segment]:
     """The --layout segments, within MAX_TOKENS and, if `pairs`, MAX_CELLS."""
     segments = parse_layout(args.layout)
-    text, image = _token_counts(segments)
+    text, image = token_counts(segments)
     if text + image > MAX_TOKENS:
         raise UsageError(f"layout has {text + image} tokens, over the limit of {MAX_TOKENS}")
     if pairs and text * image > MAX_CELLS:
@@ -189,7 +183,7 @@ def cmd_attn(args: argparse.Namespace, out) -> int:
     segments = _layout(args)
     config = CipConfig(args.alpha, args.radius, args.beta)
     head_dim = _bounded(args, "head_dim", MAX_HEAD_DIM)
-    tokens = sum(_token_counts(segments))
+    tokens = sum(token_counts(segments))
     if tokens * head_dim > MAX_TOKEN_DIMS:
         raise UsageError(f"layout has {tokens} tokens x head-dim {head_dim} = "
                          f"{tokens * head_dim}, over the limit of {MAX_TOKEN_DIMS}")

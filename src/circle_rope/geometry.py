@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 # re-exported, so that geometry.CipConfig and the like keep resolving
-from .spec import AutoRadius, CipConfig, FixedRadius, GeometryError, GridSpec, RadiusStrategy
+from .spec import STAGE_NAMES, AutoRadius, CipConfig, FixedRadius, GeometryError, GridSpec, \
+    RadiusStrategy
 
 TWO_PI = 2.0 * np.pi
 
@@ -143,20 +144,8 @@ def rotate_to_plane(circle_points: np.ndarray, basis: PlaneBasis) -> np.ndarray:
     return np.outer(circle_points[:, 0], basis.u) + np.outer(circle_points[:, 1], basis.v)
 
 
-class CipStages(NamedTuple):
-    """Every stage of the circular projection of one grid, each (N, 3) in
-    grid_coords order.
-
-    centered: the grid shifted to its midrange center.
-    circle2d: the mixed angles on the circle, in the working XY plane.
-    projected: circle2d rotated into the plane orthogonal to the text line.
-    fused: dual-frame fusion, beta * projected + (1 - beta) * centered.
-    """
-
-    centered: np.ndarray
-    circle2d: np.ndarray
-    projected: np.ndarray
-    fused: np.ndarray
+# One (N, 3) array per stage, in grid_coords order; see spec.STAGE_NAMES.
+CipStages = NamedTuple("CipStages", [(name, np.ndarray) for name in STAGE_NAMES])
 
 
 def cip_transform(grid: GridSpec, config: CipConfig) -> CipStages:

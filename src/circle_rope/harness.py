@@ -2,65 +2,57 @@
 vary with image position alone.
 
 Every image key shares one random content vector, so any per-query logit
-spread comes purely from positional rotation. Per layer the active index
-variant is chosen by the schedule: under the circle scheme, "original"
-layers use the spatial indices and "circle" layers the projected ones; the
-other schemes keep their own indices at every depth.
+spread comes purely from positional rotation. Per layer the schedule says
+whether the circle scheme uses its circle indices; on the other layers it
+uses the spatial indices. The other schemes keep their own indices at every
+depth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .metrics import ptd_of
 from .rope import RotaryParams, apply_rotary, rotate_key, rotation_angles
 from .schemes import IMAGE, TEXT, IndexedSequence, assign
-from .spec import SCHEME_NAMES, CipConfig, HarnessError, ScheduleStrategy, Segment, TextSegment
-
-
-class Variant(str, Enum):
-    ORIGINAL = "original"
-    CIRCLE = "circle"
+from .spec import SCHEME_NAMES, CipConfig, HarnessError, ScheduleStrategy, Segment, token_counts
 
 
 @dataclass(frozen=True)
 class LayerSchedule:
-    """Per-layer index variant assignment; layer numbering is 1-based."""
+    """Per layer, from layer 1 up: True if the circle scheme uses its circle
+    indices there, False if it uses the spatial ones."""
 
-    assignment: tuple[Variant, ...]
+    circle: tuple[bool, ...]
 
     @property
     def num_layers(self) -> int:
-        return len(self.assignment)
+        return len(self.circle)
 
-    def variant(self, layer: int) -> Variant:
-        return self.assignment[layer - 1]
+
+# Whether `layer` uses circle indices, given the split ceil(n/2) of n layers.
+_RULES = {
+    ScheduleStrategy.ALL_CIRCLE: lambda layer, split: True,
+    ScheduleStrategy.UPPER_HALF_CIRCLE: lambda layer, split: layer > split,
+    ScheduleStrategy.LOWER_HALF_CIRCLE: lambda layer, split: layer <= split,
+    ScheduleStrategy.ALTERNATING: lambda layer, split: layer % 2 == 0,
+}
 
 
 def make_schedule(num_layers: int, strategy: ScheduleStrategy) -> LayerSchedule:
-    """Build a schedule. Alternating puts the original indices on odd layers
-    and circle indices on even layers; upper/lower split at ceil(n/2)."""
+    """Build a schedule. Alternating puts circle indices on even layers;
+    upper/lower split at ceil(n/2)."""
     if num_layers < 1:
         raise HarnessError(f"num_layers must be >= 1, got {num_layers}")
+    # a plain string equals its member, so test the type, not the key
+    if not isinstance(strategy, ScheduleStrategy):
+        raise HarnessError(f"unknown strategy {strategy!r}")
     split = math.ceil(num_layers / 2)
-    assignment = []
-    for layer in range(1, num_layers + 1):
-        if strategy is ScheduleStrategy.ALL_CIRCLE:
-            variant = Variant.CIRCLE
-        elif strategy is ScheduleStrategy.UPPER_HALF_CIRCLE:
-            variant = Variant.CIRCLE if layer > split else Variant.ORIGINAL
-        elif strategy is ScheduleStrategy.LOWER_HALF_CIRCLE:
-            variant = Variant.CIRCLE if layer <= split else Variant.ORIGINAL
-        elif strategy is ScheduleStrategy.ALTERNATING:
-            variant = Variant.CIRCLE if layer % 2 == 0 else Variant.ORIGINAL
-        else:
-            raise HarnessError(f"unknown strategy {strategy!r}")
-        assignment.append(variant)
-    return LayerSchedule(tuple(assignment))
+    return LayerSchedule(tuple(_RULES[strategy](layer, split)
+                               for layer in range(1, num_layers + 1)))
 
 
 @dataclass(frozen=True)
@@ -125,8 +117,8 @@ def run_experiment(
     One random query per text token, one shared key for all image tokens;
     all randomness comes from `seed`.
     """
-    n_text = sum(seg.length for seg in segments if isinstance(seg, TextSegment))
-    if n_text == 0 or all(isinstance(seg, TextSegment) for seg in segments):
+    n_text, n_image = token_counts(segments)
+    if n_text == 0 or n_image == 0:
         raise HarnessError("experiment layout needs both text and image tokens")
 
     rng = np.random.default_rng(seed)
@@ -134,16 +126,14 @@ def run_experiment(
     queries = rng.standard_normal((n_text, params.head_dim)) * scale
     key = rng.standard_normal(params.head_dim) * scale
 
-    # Circle's "original" layers run on the spatial indices, so they share
+    # Circle's other layers run on the spatial indices, so they share
     # the spatial scheme's stats: the cache is keyed by index assignment.
     cache: dict[str, LayerStats] = {}
     stats: dict[str, dict[int, LayerStats]] = {}
     for scheme in schemes:
         per_layer: dict[int, LayerStats] = {}
-        for layer in range(1, schedule.num_layers + 1):
-            active = scheme
-            if scheme == "circle" and schedule.variant(layer) is Variant.ORIGINAL:
-                active = "spatial"
+        for layer, circle in enumerate(schedule.circle, 1):
+            active = "spatial" if scheme == "circle" and not circle else scheme
             if active not in cache:
                 cache[active] = _layer_stats(assign(active, segments, config), queries, key,
                                              params)

@@ -2,7 +2,7 @@
 
 Head dimensions are split into three frequency sections, one per index axis
 (temporal, height, width). Each pair of dimensions in section a rotates by
-index[a] * base**(-2d/D), where d is the pair's rank within its own section.
+index[a] * 10000**(-2d/D), where d is the pair's rank within its own section.
 Indices may be fractional or negative; rotations are defined for all reals.
 """
 
@@ -18,14 +18,11 @@ from .spec import RopeError
 @dataclass(frozen=True)
 class RotaryParams:
     head_dim: int
-    base: float = 10000.0
     sections: tuple[int, int, int] = (16, 8, 8)
 
     def __post_init__(self) -> None:
         if self.head_dim <= 0 or self.head_dim % 2 != 0:
             raise RopeError(f"head_dim must be even and positive, got {self.head_dim}")
-        if self.base <= 0:
-            raise RopeError(f"base must be positive, got {self.base}")
         if len(self.sections) != 3 or any(s < 0 for s in self.sections):
             raise RopeError(f"sections must be 3 non-negative counts, got {self.sections}")
         if sum(self.sections) != self.head_dim // 2:
@@ -38,7 +35,7 @@ class RotaryParams:
         geometric ladder at exponent zero."""
         axes = np.repeat(np.arange(3), self.sections)
         ranks = np.concatenate([np.arange(s) for s in self.sections])
-        freqs = self.base ** (-2.0 * ranks / self.head_dim)
+        freqs = 10000.0 ** (-2.0 * ranks / self.head_dim)
         return axes, freqs
 
 

@@ -95,7 +95,12 @@ class CipConfig:
             raise GeometryError(f"beta must be in [0, 1], got {self.beta}")
 
 
-# The fields of geometry.CipStages, in order.
+# The stages of the circular projection of one grid, in pipeline order: the
+# fields of geometry.CipStages and the CLI's --stage choices.
+#   centered: the grid shifted to its midrange center.
+#   circle2d: the mixed angles on the circle, in the working XY plane.
+#   projected: circle2d rotated into the plane orthogonal to the text line.
+#   fused: dual-frame fusion, beta * projected + (1 - beta) * centered.
 STAGE_NAMES = ("centered", "circle2d", "projected", "fused")
 
 
@@ -141,6 +146,13 @@ def parse_layout(text: str) -> list[Segment]:
     if not segments:
         raise LayoutError("layout must contain at least one segment")
     return segments
+
+
+def token_counts(segments: list[Segment]) -> tuple[int, int]:
+    """(text tokens, image tokens) of a layout."""
+    text = sum(seg.length for seg in segments if isinstance(seg, TextSegment))
+    image = sum(seg.grid.num_tokens for seg in segments if isinstance(seg, ImageSegment))
+    return text, image
 
 
 class ScheduleStrategy(str, Enum):

@@ -25,7 +25,7 @@ from circle_rope.geometry import (
     mix_angles,
     spatial_origin_angles,
 )
-from circle_rope.harness import ScheduleStrategy, Variant, make_schedule, run_experiment
+from circle_rope.harness import ScheduleStrategy, make_schedule, run_experiment
 from circle_rope.metrics import DistanceMatrix, distance_matrix, ptd, ptd_of
 from circle_rope.rope import RotaryParams, apply_rotary, logit, rotation_angles
 from circle_rope.schemes import assign, parse_layout
@@ -191,15 +191,11 @@ def test_criterion_8_age_schedule_conformance():
     ok = True
     for n in range(1, 65):
         schedule = make_schedule(n, ScheduleStrategy.ALTERNATING)
-        for layer in range(1, n + 1):
-            expected = Variant.ORIGINAL if layer % 2 == 1 else Variant.CIRCLE
-            ok = ok and schedule.variant(layer) is expected
+        ok = ok and schedule.circle == tuple(layer % 2 == 0 for layer in range(1, n + 1))
     upper = make_schedule(36, ScheduleStrategy.UPPER_HALF_CIRCLE)
     lower = make_schedule(36, ScheduleStrategy.LOWER_HALF_CIRCLE)
-    ok = ok and all(upper.variant(n) is Variant.ORIGINAL for n in range(1, 19))
-    ok = ok and all(upper.variant(n) is Variant.CIRCLE for n in range(19, 37))
-    ok = ok and all(lower.variant(n) is Variant.CIRCLE for n in range(1, 19))
-    ok = ok and all(lower.variant(n) is Variant.ORIGINAL for n in range(19, 37))
+    ok = ok and upper.circle == (False,) * 18 + (True,) * 18
+    ok = ok and lower.circle == (True,) * 18 + (False,) * 18
     report(8, ok, "(alternating 1..64, 18/18 split at 36 layers)")
 
 

@@ -12,7 +12,6 @@ from circle_rope.harness import (
     ExperimentReport,
     LayerStats,
     ScheduleStrategy,
-    Variant,
     make_schedule,
     run_experiment,
 )
@@ -109,7 +108,7 @@ def _reference_report(segments, config, schedule, params, seed, schemes):
     for scheme, seq in sequences.items():
         cache, per_layer = {}, {}
         for layer in range(1, schedule.num_layers + 1):
-            original = scheme == "circle" and schedule.variant(layer) is Variant.ORIGINAL
+            original = scheme == "circle" and not schedule.circle[layer - 1]
             if original not in cache:
                 cache[original] = _reference_layer_stats(spatial if original else seq,
                                                          queries, key, params)

@@ -1,18 +1,17 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from circle_rope.geometry import CipConfig, FixedRadius
-from circle_rope.harness import (
-    LayerSchedule,
-    ScheduleStrategy,
-    Variant,
-    make_schedule,
-    run_experiment,
-)
+from circle_rope.harness import HarnessError, ScheduleStrategy, make_schedule, run_experiment
 from circle_rope.rope import RotaryParams
 from circle_rope.schemes import parse_layout
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads as W  # noqa: E402
 
 CONFIG = CipConfig(alpha=0.5, radius=FixedRadius(10.0), beta=0.1)
 PARAMS = RotaryParams(head_dim=8, sections=(2, 1, 1))
@@ -21,33 +20,42 @@ PARAMS = RotaryParams(head_dim=8, sections=(2, 1, 1))
 class TestMakeSchedule:
     def test_upper_half_at_36(self):
         schedule = make_schedule(36, ScheduleStrategy.UPPER_HALF_CIRCLE)
-        assert all(schedule.variant(n) is Variant.ORIGINAL for n in range(1, 19))
-        assert all(schedule.variant(n) is Variant.CIRCLE for n in range(19, 37))
+        assert schedule.circle == (False,) * 18 + (True,) * 18
 
     def test_lower_half_at_36(self):
         schedule = make_schedule(36, ScheduleStrategy.LOWER_HALF_CIRCLE)
-        assert all(schedule.variant(n) is Variant.CIRCLE for n in range(1, 19))
-        assert all(schedule.variant(n) is Variant.ORIGINAL for n in range(19, 37))
+        assert schedule.circle == (True,) * 18 + (False,) * 18
 
     def test_alternating_4(self):
         schedule = make_schedule(4, ScheduleStrategy.ALTERNATING)
-        assert schedule.assignment == (
-            Variant.ORIGINAL, Variant.CIRCLE, Variant.ORIGINAL, Variant.CIRCLE
-        )
+        assert schedule.circle == (False, True, False, True)
 
     def test_all_circle_single_layer(self):
-        assert make_schedule(1, ScheduleStrategy.ALL_CIRCLE).assignment == (Variant.CIRCLE,)
+        assert make_schedule(1, ScheduleStrategy.ALL_CIRCLE).circle == (True,)
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_alternating_parity(self, n):
         schedule = make_schedule(n, ScheduleStrategy.ALTERNATING)
-        for layer in range(1, n + 1):
-            expected = Variant.ORIGINAL if layer % 2 == 1 else Variant.CIRCLE
-            assert schedule.variant(layer) is expected
+        assert schedule.num_layers == n
+        assert schedule.circle == tuple(layer % 2 == 0 for layer in range(1, n + 1))
+
+    @pytest.mark.parametrize("strategy", list(ScheduleStrategy))
+    def test_matches_the_benchmark_rule(self, strategy):
+        # perfbench/workloads.py writes the rules down on its own; odd layer
+        # counts pin where upper and lower split
+        for n in range(1, 65):
+            expected = [v == "circle" for v in W.schedule_variants(n, strategy.value)]
+            assert list(make_schedule(n, strategy).circle) == expected, n
 
     def test_invalid_layers(self):
         with pytest.raises(ValueError):
             make_schedule(0, ScheduleStrategy.ALL_CIRCLE)
+
+    @pytest.mark.parametrize("strategy", ["bogus", "alt", None])
+    def test_unknown_strategy(self, strategy):
+        # a plain string is rejected even where it equals a member's value
+        with pytest.raises(HarnessError):
+            make_schedule(2, strategy)
 
 
 class TestRunExperiment:
@@ -91,8 +99,9 @@ class TestRunExperiment:
 
     def test_missing_modality_rejected(self):
         schedule = make_schedule(1, ScheduleStrategy.ALL_CIRCLE)
-        with pytest.raises(ValueError):
-            run_experiment(parse_layout("t5"), CONFIG, schedule, PARAMS, seed=0)
+        for layout in ("t5", "i3x3", "i2x2,i1x3"):
+            with pytest.raises(HarnessError, match="both text and image"):
+                run_experiment(parse_layout(layout), CONFIG, schedule, PARAMS, seed=0)
 
     def test_report_shape(self):
         segments = parse_layout("i2x2,t3")

@@ -31,8 +31,7 @@ def rotary_params(draw):
     """Any head_dim up to 64 and any split into three sections, empty ones too."""
     pairs = draw(st.integers(1, 32))
     a, b = sorted(draw(st.lists(st.integers(0, pairs), min_size=2, max_size=2)))
-    base = draw(st.sampled_from([10000.0, 500.0, 2.5]))
-    return RotaryParams(2 * pairs, base=base, sections=(a, b - a, pairs - b))
+    return RotaryParams(2 * pairs, sections=(a, b - a, pairs - b))
 
 
 signed_zeros = st.sampled_from([0.0, -0.0])

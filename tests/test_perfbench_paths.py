@@ -41,3 +41,28 @@ def test_worker_names_resolve():
     for module_name, attr in sorted(names):
         assert hasattr(importlib.import_module(f"circle_rope.{module_name}"), attr), \
             f"{module_name}.{attr}"
+
+
+def test_tracer_hooks_read_their_arguments():
+    # the hooks read run_experiment's `schedule` and `schemes` arguments and
+    # DistanceMatrix fields; a rename there breaks only traced runs
+    from circle_rope import harness, metrics, schemes
+    from circle_rope.geometry import CipConfig
+    from circle_rope.rope import RotaryParams
+
+    segments = schemes.parse_layout("i2x2,t3")
+    schedule = harness.make_schedule(3, harness.ScheduleStrategy.ALTERNATING)
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        harness.run_experiment(segments, CipConfig(), schedule,
+                               RotaryParams(8, sections=(2, 1, 1)), seed=0)
+        metrics.distance_matrix(schemes.assign("circle", segments))
+    finally:
+        trace.uninstall()
+    got = trace.layer_metrics()
+    # 4 schemes x 3 layers; circle's spatial layers reuse spatial's stats
+    assert got["harness.layer_slots"] == 12
+    assert got["harness.layer_evals"] == 4
+    # 4 layer evaluations and one direct call, each 3 x 4 pairs
+    assert got["metrics.pairs"] == 60
