@@ -1,6 +1,8 @@
 """Command-line front end: PTD tables, projection stage dumps, attention runs.
 
-Exit codes: 0 success, 2 usage or validation error, 1 internal error.
+Exit codes: 0 success, 2 usage or validation error, 1 internal error. A
+stdout closed before the output is written (`| head -1`) also exits 1, with
+nothing on stderr.
 
 At load time only the numpy-free `spec` is imported. Each subcommand imports
 the compute modules it uses once its input is checked.
@@ -14,7 +16,7 @@ import os
 import sys
 
 from .spec import SCHEME_NAMES, STAGE_NAMES, AutoRadius, CipConfig, CircleRopeError, \
-    FixedRadius, ImageSegment, ScheduleStrategy, Segment, parse_layout, token_counts
+    FixedRadius, GridSpec, ScheduleStrategy, Segment, parse_layout, token_counts
 
 # Size limits, checked before anything of that size is allocated; beyond them
 # the CLI exits 2. Tokens bound the index arrays of every subcommand.
@@ -117,8 +119,9 @@ def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str
     return values
 
 
-def _layout(args: argparse.Namespace, pairs: bool = True) -> list[Segment]:
-    """The --layout segments, within MAX_TOKENS and, if `pairs`, MAX_CELLS."""
+def _inputs(args: argparse.Namespace, pairs: bool = True) -> tuple[list[Segment], CipConfig]:
+    """The --layout segments, within MAX_TOKENS and, if `pairs`, MAX_CELLS,
+    and the projection config of --alpha, --radius and --beta."""
     segments = parse_layout(args.layout)
     text, image = token_counts(segments)
     if text + image > MAX_TOKENS:
@@ -126,7 +129,7 @@ def _layout(args: argparse.Namespace, pairs: bool = True) -> list[Segment]:
     if pairs and text * image > MAX_CELLS:
         raise UsageError(f"layout has {text} x {image} = {text * image} text-image pairs, "
                          f"over the limit of {MAX_CELLS}")
-    return segments
+    return segments, CipConfig(args.alpha, args.radius, args.beta)
 
 
 def _bounded(args: argparse.Namespace, name: str, limit: int) -> int:
@@ -152,8 +155,7 @@ def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
 
 
 def cmd_ptd(args: argparse.Namespace, out) -> int:
-    segments = _layout(args)
-    config = CipConfig(args.alpha, args.radius, args.beta)
+    segments, config = _inputs(args)
     from .metrics import distance_matrix, ptd
     from .schemes import assign
     rows = []
@@ -165,23 +167,21 @@ def cmd_ptd(args: argparse.Namespace, out) -> int:
 
 
 def cmd_project(args: argparse.Namespace, out) -> int:
-    segments = _layout(args, pairs=False)
-    config = CipConfig(args.alpha, args.radius, args.beta)
-    images = [seg for seg in segments if isinstance(seg, ImageSegment)]
-    if not images:
+    segments, config = _inputs(args, pairs=False)
+    grids = [seg for seg in segments if isinstance(seg, GridSpec)]
+    if not grids:
         raise UsageError("layout has no image segment to project")
     from .geometry import cip_transform
     rows = []
-    for seg in images:
-        for point in getattr(cip_transform(seg.grid, config), args.stage).tolist():
+    for grid in grids:
+        for point in getattr(cip_transform(grid, config), args.stage).tolist():
             rows.append([str(len(rows))] + [_fmt(c) for c in point])
     _emit_rows(["token_id", "x", "y", "z"], rows, args.format, out)
     return 0
 
 
 def cmd_attn(args: argparse.Namespace, out) -> int:
-    segments = _layout(args)
-    config = CipConfig(args.alpha, args.radius, args.beta)
+    segments, config = _inputs(args)
     head_dim = _bounded(args, "head_dim", MAX_HEAD_DIM)
     tokens = sum(token_counts(segments))
     if tokens * head_dim > MAX_TOKEN_DIMS:
@@ -189,12 +189,10 @@ def cmd_attn(args: argparse.Namespace, out) -> int:
                          f"{tokens * head_dim}, over the limit of {MAX_TOKEN_DIMS}")
     layers = _bounded(args, "layers", MAX_LAYERS)
     seed = parse_seed(os.environ.get("CIRCLE_ROPE_SEED") or "0") if args.seed is None else args.seed
-    half = head_dim // 2
-    sections = args.sections or (half - 2 * (half // 4), half // 4, half // 4)
     # rope and harness check head-dim parity, sections, layers and text
     from .harness import make_schedule, run_experiment
     from .rope import RotaryParams
-    params = RotaryParams(head_dim=head_dim, sections=sections)
+    params = RotaryParams(head_dim=head_dim, sections=args.sections)
     schedule = make_schedule(layers, ScheduleStrategy(args.schedule))
     report = run_experiment(segments, config, schedule, params, seed=seed, schemes=args.schemes)
     out.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
@@ -207,11 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, fmt: str | None) -> None:
         p.add_argument("--layout", required=True, help="e.g. i3x3,t5")
-        p.add_argument("--alpha", type=float, default=0.5,
+        p.add_argument("--alpha", type=float, default=CipConfig.alpha,
                        help="weight of the spatial-origin angle (default: %(default)s)")
-        p.add_argument("--radius", type=parse_radius, default="fixed:10",
+        p.add_argument("--radius", type=parse_radius, default=f"fixed:{CipConfig.radius.value:g}",
                        help="fixed:<R>, auto:<k>, or bare number (default: %(default)s)")
-        p.add_argument("--beta", type=float, default=0.1,
+        p.add_argument("--beta", type=float, default=CipConfig.beta,
                        help="fusion weight of the projected circle (default: %(default)s)")
         if fmt is not None:
             p.add_argument("--format", choices=("csv", "json", "table"), default=fmt,
@@ -269,7 +267,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
             values = load_config_file(args.config, _config_options(parser))
             _subcommands(parser)[args.command].set_defaults(**values)
             args = parser.parse_args(argv)
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's recipe: point stdout at devnull so that the interpreter's
+        # final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (UsageError, CircleRopeError) as exc:

@@ -14,7 +14,6 @@ the width coordinate. Text tokens live on the line t * (1, 1, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,15 +23,6 @@ from .spec import STAGE_NAMES, AutoRadius, CipConfig, FixedRadius, GeometryError
     RadiusStrategy
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class PlaneBasis:
-    """Right-handed orthonormal basis (u, v, n) with n the target plane normal."""
-
-    n: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
 
 
 def grid_coords(grid: GridSpec) -> np.ndarray:
@@ -122,26 +112,28 @@ def map_to_circle(angles: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def build_plane_basis() -> PlaneBasis:
-    """Orthonormal basis of the plane orthogonal to the text line t * (1, 1, 1).
-
-    n is the normalized direction, u = normalize((-n_y, n_x, 0)), v = n x u.
+def build_plane_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, u, v): n is the unit normal of the plane orthogonal to the text
+    line t * (1, 1, 1), and u = normalize((-n_y, n_x, 0)), v = n x u span it.
     """
     direction = np.ones(3)
     n = direction / np.linalg.norm(direction)
     u_raw = np.array([-n[1], n[0], 0.0])
     u = u_raw / np.linalg.norm(u_raw)
     v = np.cross(n, u)
-    return PlaneBasis(n=n, u=u, v=v)
+    return n, u, v
 
 
-def rotate_to_plane(circle_points: np.ndarray, basis: PlaneBasis) -> np.ndarray:
+_, _U, _V = build_plane_basis()
+
+
+def rotate_to_plane(circle_points: np.ndarray) -> np.ndarray:
     """Rotate circle points from the working XY plane into the target plane.
 
     Each (x, y, 0) working point becomes x*u + y*v in index space.
     """
     circle_points = np.asarray(circle_points, dtype=float)
-    return np.outer(circle_points[:, 0], basis.u) + np.outer(circle_points[:, 1], basis.v)
+    return np.outer(circle_points[:, 0], _U) + np.outer(circle_points[:, 1], _V)
 
 
 # One (N, 3) array per stage, in grid_coords order; see spec.STAGE_NAMES.
@@ -153,7 +145,7 @@ def cip_transform(grid: GridSpec, config: CipConfig) -> CipStages:
     centered, _ = centralize(grid_coords(grid))
     mixed = mix_angles(spatial_origin_angles(centered), grid_index_angles(grid), config.alpha)
     circle2d = map_to_circle(mixed, compute_radius(centered, config.radius))
-    projected = rotate_to_plane(circle2d, build_plane_basis())
+    projected = rotate_to_plane(circle2d)
     return CipStages(centered, circle2d, projected,
                      dual_frame_fusion(projected, centered, config.beta))
 

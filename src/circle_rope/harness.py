@@ -56,31 +56,21 @@ def make_schedule(num_layers: int, strategy: ScheduleStrategy) -> LayerSchedule:
 
 
 @dataclass(frozen=True)
-class LayerStats:
-    """Logit statistics for one (scheme, layer): overall mean and std of
-    text-to-image logits, the largest per-query spread (max - min over image
-    keys), and the PTD of the active index assignment."""
-
-    mean: float
-    std: float
-    spread: float
-    ptd: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {"mean": self.mean, "std": self.std, "spread": self.spread, "ptd": self.ptd}
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
-    stats: dict[str, dict[int, LayerStats]]
+    """scheme -> layer (from 1) -> {mean, std, spread, ptd} of that layer:
+    the overall mean and std of the text-to-image logits, the largest
+    per-query spread (max - min over image keys), and the PTD of the active
+    index assignment. Layers on the same assignment share one dict."""
+
+    stats: dict[str, dict[int, dict[str, float]]]
 
     def as_dict(self) -> dict:
-        """scheme -> layer string -> stats dict. Layers holding the same
-        LayerStats share one dict, so mutating one mutates them all."""
-        distinct = {id(s): s for layers in self.stats.values() for s in layers.values()}
-        dicts = {key: s.as_dict() for key, s in distinct.items()}
+        """scheme -> layer string -> the shared stats dicts themselves, so
+        mutating one mutates every layer that holds it. The schemes share
+        one key string per layer as well, which keeps the memory of a caller
+        that holds many reports (the benchmark keeps each one) in check."""
         names = {layer: str(layer) for layers in self.stats.values() for layer in layers}
-        return {scheme: {names[layer]: dicts[id(s)] for layer, s in layers.items()}
+        return {scheme: {names[layer]: s for layer, s in layers.items()}
                 for scheme, layers in self.stats.items()}
 
 
@@ -96,12 +86,12 @@ def _mean_std(table: np.ndarray) -> tuple[float, float]:
 
 
 def _layer_stats(seq: IndexedSequence, queries: np.ndarray, key: np.ndarray,
-                 params: RotaryParams) -> LayerStats:
+                 params: RotaryParams) -> dict[str, float]:
     rotated_queries = apply_rotary(queries, rotation_angles(seq.indices(TEXT), params))
     logits = rotated_queries @ rotate_key(key, seq.indices(IMAGE), params).T
     spread = float((logits.max(axis=1) - logits.min(axis=1)).max())
     mean, std = _mean_std(logits)
-    return LayerStats(mean=mean, std=std, spread=spread, ptd=ptd_of(seq))
+    return {"mean": mean, "std": std, "spread": spread, "ptd": ptd_of(seq)}
 
 
 def run_experiment(
@@ -128,15 +118,14 @@ def run_experiment(
 
     # Circle's other layers run on the spatial indices, so they share
     # the spatial scheme's stats: the cache is keyed by index assignment.
-    cache: dict[str, LayerStats] = {}
-    stats: dict[str, dict[int, LayerStats]] = {}
+    cache: dict[str, dict[str, float]] = {}
+    stats: dict[str, dict[int, dict[str, float]]] = {}
     for scheme in schemes:
-        per_layer: dict[int, LayerStats] = {}
+        stats[scheme] = {}
         for layer, circle in enumerate(schedule.circle, 1):
             active = "spatial" if scheme == "circle" and not circle else scheme
             if active not in cache:
                 cache[active] = _layer_stats(assign(active, segments, config), queries, key,
                                              params)
-            per_layer[layer] = cache[active]
-        stats[scheme] = per_layer
+            stats[scheme][layer] = cache[active]
     return ExperimentReport(stats)

@@ -17,12 +17,20 @@ from .spec import RopeError
 
 @dataclass(frozen=True)
 class RotaryParams:
+    """`sections` counts the dimension pairs of each axis. By default a
+    quarter of the head_dim/2 pairs (rounded down) goes to height, as many to
+    width, and the rest to the temporal axis: (16, 8, 8) at head_dim 64."""
+
     head_dim: int
-    sections: tuple[int, int, int] = (16, 8, 8)
+    sections: tuple[int, int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.head_dim <= 0 or self.head_dim % 2 != 0:
             raise RopeError(f"head_dim must be even and positive, got {self.head_dim}")
+        if self.sections is None:
+            quarter = self.head_dim // 8
+            object.__setattr__(self, "sections",
+                               (self.head_dim // 2 - 2 * quarter, quarter, quarter))
         if len(self.sections) != 3 or any(s < 0 for s in self.sections):
             raise RopeError(f"sections must be 3 non-negative counts, got {self.sections}")
         if sum(self.sections) != self.head_dim // 2:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .geometry import cip_transform, grid_coords
 # re-exported, so that schemes.parse_layout and the like keep resolving
-from .spec import SCHEME_NAMES, CipConfig, GridSpec, ImageSegment, LayoutError, Segment, \
-    TextSegment, parse_layout
+from .spec import SCHEME_NAMES, CipConfig, GridSpec, LayoutError, Segment, TextSegment, \
+    parse_layout
 
 
 TEXT = "text"
@@ -59,7 +59,7 @@ def _walk(segments: list[Segment],
             kind, block = TEXT, _line(counter, seg.length)
             counter += seg.length
         else:
-            kind, (block, counter) = IMAGE, image_block(seg.grid, counter)
+            kind, (block, counter) = IMAGE, image_block(seg, counter)
         blocks.append(block)
         kinds.append(kind)
     index = np.concatenate(blocks) if blocks else np.zeros((0, 3))

@@ -113,12 +113,8 @@ class TextSegment:
             raise LayoutError(f"text run length must be >= 1, got {self.length}")
 
 
-@dataclass(frozen=True)
-class ImageSegment:
-    grid: GridSpec
-
-
-Segment = Union[TextSegment, ImageSegment]
+# A layout is a list of text runs and image grids.
+Segment = Union[TextSegment, GridSpec]
 
 SCHEME_NAMES = ("hard", "unordered", "spatial", "circle")
 
@@ -138,7 +134,7 @@ def parse_layout(text: str) -> list[Segment]:
                 segments.append(TextSegment(int(part[1:])))
             elif part.startswith("i"):
                 w, h = part[1:].split("x")
-                segments.append(ImageSegment(GridSpec(width=int(w), height=int(h))))
+                segments.append(GridSpec(width=int(w), height=int(h)))
             else:
                 raise ValueError
         except (ValueError, IndexError):
@@ -151,7 +147,7 @@ def parse_layout(text: str) -> list[Segment]:
 def token_counts(segments: list[Segment]) -> tuple[int, int]:
     """(text tokens, image tokens) of a layout."""
     text = sum(seg.length for seg in segments if isinstance(seg, TextSegment))
-    image = sum(seg.grid.num_tokens for seg in segments if isinstance(seg, ImageSegment))
+    image = sum(seg.num_tokens for seg in segments if isinstance(seg, GridSpec))
     return text, image
 
 

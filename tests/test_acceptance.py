@@ -87,7 +87,7 @@ def test_criterion_2_equidistance_sweep():
 
 def test_criterion_3_plane_and_norm_invariants():
     rng = np.random.default_rng(3)
-    basis = build_plane_basis()
+    n, _, _ = build_plane_basis()
     worst_norm = worst_plane = 0.0
     for _ in range(200):
         w = int(rng.integers(1, 33))
@@ -98,7 +98,7 @@ def test_criterion_3_plane_and_norm_invariants():
         config = CipConfig(alpha=float(rng.uniform(0, 1)), radius=FixedRadius(radius))
         projected = cip_transform(GridSpec(w, h), config).projected
         worst_norm = max(worst_norm, float(np.abs(np.linalg.norm(projected, axis=1) - radius).max()))
-        worst_plane = max(worst_plane, float(np.abs(projected @ basis.n).max()))
+        worst_plane = max(worst_plane, float(np.abs(projected @ n).max()))
     ok = worst_norm <= 1e-9 and worst_plane <= 1e-9
     report(3, ok, f"(norm dev {worst_norm:.2e}, plane dev {worst_plane:.2e})")
 
@@ -183,7 +183,7 @@ def test_criterion_7_unordered_zero_spread():
         schedule = make_schedule(6, strategy)
         rep = run_experiment(segments, config, schedule, params, seed=7, schemes=("unordered",))
         for stats in rep.stats["unordered"].values():
-            worst = max(worst, stats.spread)
+            worst = max(worst, stats["spread"])
     report(7, worst <= 1e-9, f"(max spread over schedules/layers {worst:.2e})")
 
 

@@ -18,14 +18,14 @@ from circle_rope.geometry import (
     map_to_circle,
     spatial_origin_angles,
 )
-from circle_rope.schemes import IMAGE, ImageSegment, TextSegment, assign
+from circle_rope.schemes import IMAGE, TextSegment, assign
 
 grids = st.builds(GridSpec, width=st.integers(1, 24), height=st.integers(1, 24))
 radii = st.one_of(st.builds(FixedRadius, st.floats(1e-3, 1e6)),
                   st.builds(AutoRadius, st.floats(1e-3, 1e3)))
 alphas = st.floats(0, 1)
 segments = st.lists(st.one_of(st.builds(TextSegment, st.integers(1, 6)),
-                              st.builds(ImageSegment, grids)), min_size=2, max_size=5)
+                              grids), min_size=2, max_size=5)
 
 
 def usable(grid, radius):
@@ -37,8 +37,8 @@ def usable(grid, radius):
 @given(layout=segments, alpha=alphas, radius=radii)
 def test_cone_every_text_token_is_equidistant_from_each_image(layout, alpha, radius):
     kinds = {type(seg) for seg in layout}
-    assume(kinds == {TextSegment, ImageSegment})
-    assume(all(usable(seg.grid, radius) for seg in layout if isinstance(seg, ImageSegment)))
+    assume(kinds == {TextSegment, GridSpec})
+    assume(all(usable(seg, radius) for seg in layout if isinstance(seg, GridSpec)))
     seq = assign("circle", layout, CipConfig(alpha=alpha, radius=radius, beta=1.0))
     text = seq.indices("text")
     start = 0
@@ -46,9 +46,9 @@ def test_cone_every_text_token_is_equidistant_from_each_image(layout, alpha, rad
         if isinstance(seg, TextSegment):
             start += seg.length
             continue
-        image = seq.index[start:start + seg.grid.num_tokens]
-        assert (seq.modality[start:start + seg.grid.num_tokens] == IMAGE).all()
-        start += seg.grid.num_tokens
+        image = seq.index[start:start + seg.num_tokens]
+        assert (seq.modality[start:start + seg.num_tokens] == IMAGE).all()
+        start += seg.num_tokens
         dists = np.linalg.norm(text[:, None, :] - image[None, :, :], axis=2)
         spread = dists.max(axis=1) - dists.min(axis=1)
         assert (spread <= 1e-9 * dists.max(axis=1)).all(), spread.max()
@@ -58,15 +58,15 @@ def test_cone_every_text_token_is_equidistant_from_each_image(layout, alpha, rad
 @given(grid=grids, alpha=alphas, radius=radii)
 def test_plane_projected_circle_is_orthogonal_to_the_text_direction(grid, alpha, radius):
     assume(usable(grid, radius))
-    basis = build_plane_basis()
-    frame = np.stack([basis.u, basis.v, basis.n])
+    n, u, v = build_plane_basis()
+    frame = np.stack([u, v, n])
     assert np.abs(frame @ frame.T - np.eye(3)).max() <= 2e-12
-    assert np.abs(np.cross(basis.u, basis.v) - basis.n).max() <= 2e-12
-    assert np.abs(basis.n - np.ones(3) / np.sqrt(3)).max() <= 1e-15
+    assert np.abs(np.cross(u, v) - n).max() <= 2e-12
+    assert np.abs(n - np.ones(3) / np.sqrt(3)).max() <= 1e-15
     stages = cip_transform(grid, CipConfig(alpha=alpha, radius=radius))
     r = compute_radius(stages.centered, radius)
     # the circle's centre is the origin, the image centre on the text line
-    assert np.abs(stages.projected @ basis.n).max() <= 2e-12 * r
+    assert np.abs(stages.projected @ n).max() <= 2e-12 * r
     assert np.abs(np.linalg.norm(stages.projected, axis=1) - r).max() <= 2e-12 * r
 
 

@@ -132,6 +132,12 @@ class TestAttnCommand:
         _, second = run_cli(*args)
         assert first == second
 
+    def test_default_sections_come_from_head_dim(self):
+        args = ("attn", "--layout", "i3x3,t5", "--layers", "2", "--head-dim", "128")
+        code, default = run_cli(*args)
+        assert code == 0
+        assert run_cli(*args, "--sections", "32,16,16") == (0, default)
+
     def test_bad_sections_exit_2(self):
         code, _ = run_cli("attn", "--layout", "i3x3,t5", "--sections", "1,1,1",
                           "--head-dim", "8")
@@ -229,3 +235,15 @@ def test_internal_value_error_exit_1(monkeypatch):
     monkeypatch.setattr(cli, "cmd_ptd", broken)
     code, text = run_cli("ptd", "--layout", "i3x3,t5")
     assert (code, text) == (1, "")
+
+
+def test_closed_stdout_exits_1_quietly():
+    # 200 kB of csv, more than the pipe holds, so the CLI is still writing
+    # when the reader goes away
+    proc = subprocess.Popen([sys.executable, "-m", "circle_rope.cli", "project", "--layout",
+                             "i64x64,t8", "--stage", "fused"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_base_env())
+    assert proc.stdout.readline() == b"token_id,x,y,z\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 1

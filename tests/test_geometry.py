@@ -194,34 +194,34 @@ class TestMapToCircle:
         assert np.all(pts[:, 2] == 0)
 
 
-def assert_orthonormal(basis):
-    for vec in (basis.n, basis.u, basis.v):
+def assert_orthonormal(n, u, v):
+    for vec in (n, u, v):
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
-    assert abs(basis.n @ basis.u) < 1e-9
-    assert abs(basis.n @ basis.v) < 1e-9
-    assert abs(basis.u @ basis.v) < 1e-9
-    assert np.allclose(np.cross(basis.n, basis.u), basis.v)
+    assert abs(n @ u) < 1e-9
+    assert abs(n @ v) < 1e-9
+    assert abs(u @ v) < 1e-9
+    assert np.allclose(np.cross(n, u), v)
 
 
 class TestPlaneBasis:
     def test_diagonal_direction(self):
-        basis = build_plane_basis()
-        assert np.allclose(basis.n, np.ones(3) / math.sqrt(3))
-        assert np.allclose(basis.u, np.array([-1, 1, 0]) / math.sqrt(2))
-        assert np.allclose(basis.v, np.array([-1, -1, 2]) / math.sqrt(6))
-        assert_orthonormal(basis)
+        n, u, v = build_plane_basis()
+        assert np.allclose(n, np.ones(3) / math.sqrt(3))
+        assert np.allclose(u, np.array([-1, 1, 0]) / math.sqrt(2))
+        assert np.allclose(v, np.array([-1, -1, 2]) / math.sqrt(6))
+        assert_orthonormal(n, u, v)
 
 
 class TestRotateToPlane:
     def test_x_axis_maps_to_u(self):
-        basis = build_plane_basis()
-        out = rotate_to_plane(np.array([[5.0, 0.0, 0.0]]), basis)
-        assert np.allclose(out[0], 5.0 * basis.u)
+        _, u, _ = build_plane_basis()
+        out = rotate_to_plane(np.array([[5.0, 0.0, 0.0]]))
+        assert np.allclose(out[0], 5.0 * u)
 
     def test_y_axis_maps_to_v(self):
-        basis = build_plane_basis()
-        out = rotate_to_plane(np.array([[0.0, 5.0, 0.0]]), basis)
-        assert np.allclose(out[0], 5.0 * basis.v)
+        _, _, v = build_plane_basis()
+        out = rotate_to_plane(np.array([[0.0, 5.0, 0.0]]))
+        assert np.allclose(out[0], 5.0 * v)
 
     def test_full_pipeline_plane_equation(self):
         config = CipConfig(alpha=0.5, radius=FixedRadius(10.0))
@@ -243,8 +243,8 @@ class TestCipTransform:
 
     def test_1x1_fixed_radius(self):
         projected = cip_transform(GridSpec(1, 1), CipConfig(radius=FixedRadius(4.0))).projected
-        basis = build_plane_basis()
-        assert np.allclose(projected[0], 4.0 * basis.u)
+        _, u, _ = build_plane_basis()
+        assert np.allclose(projected[0], 4.0 * u)
 
     def test_alpha_endpoints_same_circle(self):
         cfg0 = CipConfig(alpha=0.0, radius=FixedRadius(10.0))
@@ -263,9 +263,9 @@ class TestCipTransform:
         radius = float(rng.uniform(0.5, 20.0))
         config = CipConfig(alpha=alpha, radius=FixedRadius(radius))
         projected = cip_transform(GridSpec(w, h), config).projected
-        basis = build_plane_basis()
+        n, _, _ = build_plane_basis()
         assert np.allclose(np.linalg.norm(projected, axis=1), radius, atol=1e-9)
-        assert np.all(np.abs(projected @ basis.n) < 1e-9)
+        assert np.all(np.abs(projected @ n) < 1e-9)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_equidistance_from_text_line(self, seed):
@@ -320,8 +320,7 @@ def test_permutation_equivariance():
     assert np.allclose(spatial_origin_angles(centered[perm]), sa[perm])
     circle = map_to_circle(sa, 3.0)
     assert np.allclose(map_to_circle(sa[perm], 3.0), circle[perm])
-    basis = build_plane_basis()
-    assert np.allclose(rotate_to_plane(circle[perm], basis), rotate_to_plane(circle, basis)[perm])
+    assert np.allclose(rotate_to_plane(circle[perm]), rotate_to_plane(circle)[perm])
 
 
 def test_config_is_comparable_and_hashable():

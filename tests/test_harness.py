@@ -65,13 +65,13 @@ class TestRunExperiment:
         report = run_experiment(segments, CONFIG, schedule, PARAMS, seed=7,
                                 schemes=("unordered",))
         for stats in report.stats["unordered"].values():
-            assert stats.spread < 1e-9
+            assert stats["spread"] < 1e-9
 
     def test_hard_positive_spread(self):
         segments = parse_layout("i3x3,t5")
         schedule = make_schedule(1, ScheduleStrategy.ALL_CIRCLE)
         report = run_experiment(segments, CONFIG, schedule, PARAMS, seed=7, schemes=("hard",))
-        assert report.stats["hard"][1].spread > 1e-6
+        assert report.stats["hard"][1]["spread"] > 1e-6
 
     def test_deterministic(self):
         segments = parse_layout("t2,i2x3,t4")

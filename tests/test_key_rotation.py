@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from circle_rope.geometry import CipConfig, FixedRadius, GridSpec
 from circle_rope.rope import RopeError, RotaryParams, apply_rotary, logit, rotate_key, \
     rotation_angles
-from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, ImageSegment, TextSegment, assign
+from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, TextSegment, assign
 
 
 def reference(key, index, params):
@@ -65,7 +65,7 @@ def test_equals_broadcast_apply_rotary(data, params, index):
 
 
 text_run = st.integers(1, 8).map(TextSegment)
-image = st.builds(lambda w, h: ImageSegment(GridSpec(w, h)), st.integers(1, 9), st.integers(1, 9))
+image = st.builds(GridSpec, st.integers(1, 9), st.integers(1, 9))
 layouts = st.tuples(image, st.lists(st.one_of(text_run, image), max_size=4)).flatmap(
     lambda t: st.permutations([t[0], *t[1]]))
 configs = st.builds(

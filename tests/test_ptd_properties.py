@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from circle_rope import cli
 from circle_rope.geometry import AutoRadius, CipConfig, FixedRadius, GridSpec
 from circle_rope.metrics import distance_matrix, ptd
-from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, IndexedSequence, ImageSegment, \
+from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, IndexedSequence, \
     TextSegment, assign, parse_layout
 
 # |PTD(x') - PTD'| <= TOLERANCE * M for any other scale or shift, for circle,
@@ -25,8 +25,8 @@ INTEGER_SCHEMES = ("hard", "unordered", "spatial")
 
 grids = st.builds(GridSpec, width=st.integers(1, 12), height=st.integers(1, 12))
 layouts = st.lists(st.one_of(st.builds(TextSegment, st.integers(1, 8)),
-                             st.builds(ImageSegment, grids)), min_size=2, max_size=5).filter(
-    lambda layout: {type(seg) for seg in layout} == {TextSegment, ImageSegment})
+                             grids), min_size=2, max_size=5).filter(
+    lambda layout: {type(seg) for seg in layout} == {TextSegment, GridSpec})
 configs = st.builds(CipConfig, alpha=st.floats(0, 1),
                     radius=st.one_of(st.builds(FixedRadius, st.floats(1e-2, 1e3)),
                                      st.builds(AutoRadius, st.floats(1e-2, 1e2))),
@@ -35,7 +35,7 @@ powers_of_two = st.integers(-20, 20).map(lambda k: 2.0 ** k)
 
 
 def indexed(layout, scheme, config):
-    grids_ok = all(seg.grid.num_tokens > 1 for seg in layout if isinstance(seg, ImageSegment))
+    grids_ok = all(seg.num_tokens > 1 for seg in layout if isinstance(seg, GridSpec))
     assume(scheme != "circle" or grids_ok or isinstance(config.radius, FixedRadius))
     return assign(scheme, layout, config)
 

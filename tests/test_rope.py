@@ -23,6 +23,15 @@ class TestRotaryParams:
     def test_odd_head_dim_rejected(self):
         with pytest.raises(RopeError):
             RotaryParams(head_dim=7, sections=(2, 1, 0))
+        with pytest.raises(RopeError, match="even"):
+            RotaryParams(7)
+
+    def test_default_sections_fill_every_even_head_dim(self):
+        for head_dim in range(2, 1025, 2):
+            sections = RotaryParams(head_dim).sections
+            assert sum(sections) == head_dim // 2 and min(sections) >= 0, head_dim
+        assert RotaryParams(64).sections == (16, 8, 8)
+        assert RotaryParams(128).sections == (32, 16, 16)
 
 
 class TestRotationAngles:

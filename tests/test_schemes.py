@@ -8,7 +8,6 @@ from circle_rope.metrics import ptd_of
 from circle_rope.schemes import (
     IMAGE,
     TEXT,
-    ImageSegment,
     LayoutError,
     TextSegment,
     assign,
@@ -21,7 +20,7 @@ from circle_rope.schemes import (
 
 
 def img(w, h):
-    return ImageSegment(GridSpec(width=w, height=h))
+    return GridSpec(width=w, height=h)
 
 
 class TestParseLayout:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circle_rope.geometry import CipConfig, FixedRadius, GridSpec, cip_transform, dual_frame_fusion
-from circle_rope.schemes import IMAGE, TEXT, ImageSegment, TextSegment, assign
+from circle_rope.schemes import IMAGE, TEXT, TextSegment, assign
 
 segment = st.one_of(
     st.integers(1, 30).map(TextSegment),
-    st.builds(lambda w, h: ImageSegment(GridSpec(w, h)), st.integers(1, 12), st.integers(1, 12)),
+    st.builds(GridSpec, st.integers(1, 12), st.integers(1, 12)),
 )
 layouts = st.lists(segment, min_size=1, max_size=6)
 configs = st.builds(
@@ -31,7 +31,7 @@ def reference(scheme, segments, config):
                 modality.append(TEXT)
                 counter += 1
             continue
-        w, h = seg.grid.width, seg.grid.height
+        w, h = seg.width, seg.height
         if scheme == "hard":
             block, step = [[counter + k] * 3 for k in range(w * h)], w * h
         elif scheme == "unordered":
@@ -40,7 +40,7 @@ def reference(scheme, segments, config):
             block = [[counter, counter + j, counter + i] for j in range(h) for i in range(w)]
             step = max(w, h)
         else:
-            stages = cip_transform(seg.grid, config)
+            stages = cip_transform(seg, config)
             block = dual_frame_fusion(stages.projected, stages.centered, config.beta) + counter
             step = max(w, h)
         rows.extend(list(row) for row in block)
