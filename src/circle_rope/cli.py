@@ -35,7 +35,7 @@ MAX_HEAD_DIM = 1 << 9
 MAX_TOKEN_DIMS = 1 << 24
 
 
-class UsageError(ValueError, argparse.ArgumentTypeError):
+class UsageError(CircleRopeError, argparse.ArgumentTypeError):
     """Bad input to the CLI. Also an ArgumentTypeError, so that argparse
     reports the message of a `type=` converter that raises it."""
 
@@ -52,7 +52,7 @@ def parse_radius(text: str) -> FixedRadius | AutoRadius:
         if text.startswith("auto:"):
             return AutoRadius(float(text.split(":", 1)[1]))
         return FixedRadius(float(text))
-    except ValueError as exc:  # a GeometryError among them
+    except ValueError as exc:  # a CircleRopeError among them
         raise UsageError(f"bad radius {text!r}: {exc}") from None
 
 
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 1
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (UsageError, CircleRopeError) as exc:
+    except CircleRopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

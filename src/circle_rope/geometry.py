@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 # re-exported, so that geometry.CipConfig and the like keep resolving
-from .spec import STAGE_NAMES, AutoRadius, CipConfig, FixedRadius, GeometryError, GridSpec, \
+from .spec import STAGE_NAMES, AutoRadius, CipConfig, CircleRopeError, FixedRadius, GridSpec, \
     RadiusStrategy
 
 TWO_PI = 2.0 * np.pi
@@ -46,7 +46,7 @@ def centralize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     points = np.asarray(points, dtype=float)
     if points.size == 0:
-        raise GeometryError("empty point set")
+        raise CircleRopeError("empty point set")
     center = 0.5 * (points.max(axis=0) + points.min(axis=0))
     return points - center, center
 
@@ -78,7 +78,7 @@ def mix_angles(sa: np.ndarray, ga: np.ndarray, alpha: float) -> np.ndarray:
     sa = np.asarray(sa, dtype=float)
     ga = np.asarray(ga, dtype=float)
     if sa.shape != ga.shape:
-        raise GeometryError(f"angle list length mismatch: {sa.shape} vs {ga.shape}")
+        raise CircleRopeError(f"angle list length mismatch: {sa.shape} vs {ga.shape}")
     return alpha * sa + (1.0 - alpha) * ga
 
 
@@ -88,13 +88,13 @@ def compute_radius(centered: np.ndarray, strategy: RadiusStrategy) -> float:
         return strategy.value
     centered = np.asarray(centered, dtype=float)
     if centered.size == 0:
-        raise GeometryError("empty point set")
+        raise CircleRopeError("empty point set")
     max_norm = float(np.linalg.norm(centered[:, 1:3], axis=1).max())
     if max_norm == 0.0:
-        raise GeometryError("degenerate radius")
+        raise CircleRopeError("degenerate radius")
     radius = strategy.k * max_norm
     if not np.isfinite(radius):
-        raise GeometryError(f"auto radius {strategy.k} * {max_norm} is not finite")
+        raise CircleRopeError(f"auto radius {strategy.k} * {max_norm} is not finite")
     return radius
 
 
@@ -104,7 +104,7 @@ def map_to_circle(angles: np.ndarray, radius: float) -> np.ndarray:
     Output rows are (R*cos, R*sin, 0) working coordinates.
     """
     if not radius > 0:
-        raise GeometryError(f"radius must be positive, got {radius}")
+        raise CircleRopeError(f"radius must be positive, got {radius}")
     angles = np.asarray(angles, dtype=float)
     out = np.zeros((len(angles), 3))
     out[:, 0] = radius * np.cos(angles)
@@ -155,5 +155,5 @@ def dual_frame_fusion(projected: np.ndarray, centered: np.ndarray, beta: float) 
     projected = np.asarray(projected, dtype=float)
     centered = np.asarray(centered, dtype=float)
     if projected.shape != centered.shape:
-        raise GeometryError(f"point set shape mismatch: {projected.shape} vs {centered.shape}")
+        raise CircleRopeError(f"point set shape mismatch: {projected.shape} vs {centered.shape}")
     return beta * projected + (1.0 - beta) * centered

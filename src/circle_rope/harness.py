@@ -18,7 +18,7 @@ import numpy as np
 from .metrics import ptd_of
 from .rope import RotaryParams, apply_rotary, rotate_key, rotation_angles
 from .schemes import IMAGE, TEXT, IndexedSequence, assign
-from .spec import SCHEME_NAMES, CipConfig, HarnessError, ScheduleStrategy, Segment, token_counts
+from .spec import SCHEME_NAMES, CipConfig, CircleRopeError, ScheduleStrategy, Segment, token_counts
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,10 @@ def make_schedule(num_layers: int, strategy: ScheduleStrategy) -> LayerSchedule:
     """Build a schedule. Alternating puts circle indices on even layers;
     upper/lower split at ceil(n/2)."""
     if num_layers < 1:
-        raise HarnessError(f"num_layers must be >= 1, got {num_layers}")
+        raise CircleRopeError(f"num_layers must be >= 1, got {num_layers}")
     # a plain string equals its member, so test the type, not the key
     if not isinstance(strategy, ScheduleStrategy):
-        raise HarnessError(f"unknown strategy {strategy!r}")
+        raise CircleRopeError(f"unknown strategy {strategy!r}")
     split = math.ceil(num_layers / 2)
     return LayerSchedule(tuple(_RULES[strategy](layer, split)
                                for layer in range(1, num_layers + 1)))
@@ -109,7 +109,7 @@ def run_experiment(
     """
     n_text, n_image = token_counts(segments)
     if n_text == 0 or n_image == 0:
-        raise HarnessError("experiment layout needs both text and image tokens")
+        raise CircleRopeError("experiment layout needs both text and image tokens")
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(params.head_dim)

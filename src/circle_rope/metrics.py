@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .schemes import IMAGE, TEXT, IndexedSequence
-from .spec import MetricError
+from .spec import CircleRopeError
 
 
 # Cells per block: 2**15 float64s are 256 KiB, small enough to stay in cache.
@@ -41,7 +41,7 @@ class DistanceMatrix:
 
     def __init__(self, text: np.ndarray, image: np.ndarray) -> None:
         if len(text) == 0 or len(image) == 0:
-            raise MetricError("PTD requires both modalities")
+            raise CircleRopeError("PTD requires both modalities")
         text_replicated = _all_replicated(text)
         if text_replicated and _all_replicated(image):
             self.convention = "scalar"
@@ -112,7 +112,7 @@ def ptd(matrix: DistanceMatrix) -> float:
     total = _abs_deviation_sum(matrix, dev, diff, [0, 0], 0, size)
     result = float(total / size)
     if not math.isfinite(result):
-        raise MetricError("PTD is not finite: index distances overflow float64")
+        raise CircleRopeError("PTD is not finite: index distances overflow float64")
     return result
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spec import RopeError
+from .spec import CircleRopeError
 
 
 @dataclass(frozen=True)
@@ -26,15 +26,15 @@ class RotaryParams:
 
     def __post_init__(self) -> None:
         if self.head_dim <= 0 or self.head_dim % 2 != 0:
-            raise RopeError(f"head_dim must be even and positive, got {self.head_dim}")
+            raise CircleRopeError(f"head_dim must be even and positive, got {self.head_dim}")
         if self.sections is None:
             quarter = self.head_dim // 8
             object.__setattr__(self, "sections",
                                (self.head_dim // 2 - 2 * quarter, quarter, quarter))
         if len(self.sections) != 3 or any(s < 0 for s in self.sections):
-            raise RopeError(f"sections must be 3 non-negative counts, got {self.sections}")
+            raise CircleRopeError(f"sections must be 3 non-negative counts, got {self.sections}")
         if sum(self.sections) != self.head_dim // 2:
-            raise RopeError(
+            raise CircleRopeError(
                 f"sections {self.sections} must sum to head_dim/2 = {self.head_dim // 2}"
             )
 
@@ -63,7 +63,7 @@ def apply_rotary(vec: np.ndarray, angles: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     angles = np.asarray(angles, dtype=float)
     if vec.shape[-1] != 2 * angles.shape[-1]:
-        raise RopeError(f"vector dim {vec.shape[-1]} != 2 * {angles.shape[-1]} angles")
+        raise CircleRopeError(f"vector dim {vec.shape[-1]} != 2 * {angles.shape[-1]} angles")
     cos = np.cos(angles)
     sin = np.sin(angles)
     even = vec[..., 0::2]
@@ -91,7 +91,7 @@ def rotate_key(key: np.ndarray, index: np.ndarray, params: RotaryParams) -> np.n
     key = np.asarray(key, dtype=float)
     index = np.ascontiguousarray(index, dtype=float)
     if key.shape != (params.head_dim,) or index.ndim != 2 or index.shape[1] != 3:
-        raise RopeError(f"need a ({params.head_dim},) key and (N, 3) indices, "
+        raise CircleRopeError(f"need a ({params.head_dim},) key and (N, 3) indices, "
                         f"got {key.shape} and {index.shape}")
     bits = index.view(np.int64)
     _, freqs = params.frequencies()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import cip_transform, grid_coords
 # re-exported, so that schemes.parse_layout and the like keep resolving
-from .spec import SCHEME_NAMES, CipConfig, GridSpec, LayoutError, Segment, TextSegment, \
+from .spec import SCHEME_NAMES, CipConfig, CircleRopeError, GridSpec, Segment, TextSegment, \
     parse_layout
 
 
@@ -110,4 +110,4 @@ def assign(scheme: str, segments: list[Segment], config: CipConfig = CipConfig()
         return assign_spatial(segments)
     if scheme == "circle":
         return assign_circle(segments, config)
-    raise LayoutError(f"unknown scheme {scheme!r}")
+    raise CircleRopeError(f"unknown scheme {scheme!r}")

@@ -1,6 +1,6 @@
-"""The inputs of circle_rope and its error classes, on the standard library
+"""The inputs of circle_rope and its error class, on the standard library
 alone, so that the CLI checks every input before it loads numpy. The
-compute modules re-export the names they used to define."""
+compute modules re-export the names of it they use."""
 
 from __future__ import annotations
 
@@ -11,27 +11,7 @@ from typing import Union
 
 
 class CircleRopeError(ValueError):
-    """Base of the errors circle_rope raises for invalid input."""
-
-
-class GeometryError(CircleRopeError):
-    """Invalid input to a geometry transform."""
-
-
-class LayoutError(CircleRopeError):
-    """Malformed sequence layout."""
-
-
-class MetricError(CircleRopeError):
-    pass
-
-
-class RopeError(CircleRopeError):
-    pass
-
-
-class HarnessError(CircleRopeError):
-    pass
+    """The error circle_rope raises for invalid input."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +23,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
-            raise GeometryError(f"grid must be at least 1x1, got {self.width}x{self.height}")
+            raise CircleRopeError(f"grid must be at least 1x1, got {self.width}x{self.height}")
 
     @property
     def num_tokens(self) -> int:
@@ -58,7 +38,7 @@ class FixedRadius:
 
     def __post_init__(self) -> None:
         if not (self.value > 0 and math.isfinite(self.value)):
-            raise GeometryError(f"fixed radius must be positive and finite, got {self.value}")
+            raise CircleRopeError(f"fixed radius must be positive and finite, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +49,7 @@ class AutoRadius:
 
     def __post_init__(self) -> None:
         if not (self.k > 0 and math.isfinite(self.k)):
-            raise GeometryError(f"auto radius factor must be positive and finite, got {self.k}")
+            raise CircleRopeError(f"auto radius factor must be positive and finite, got {self.k}")
 
 
 RadiusStrategy = Union[FixedRadius, AutoRadius]
@@ -90,9 +70,9 @@ class CipConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
-            raise GeometryError(f"alpha must be in [0, 1], got {self.alpha}")
+            raise CircleRopeError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
-            raise GeometryError(f"beta must be in [0, 1], got {self.beta}")
+            raise CircleRopeError(f"beta must be in [0, 1], got {self.beta}")
 
 
 # The stages of the circular projection of one grid, in pipeline order: the
@@ -110,7 +90,7 @@ class TextSegment:
 
     def __post_init__(self) -> None:
         if self.length < 1:
-            raise LayoutError(f"text run length must be >= 1, got {self.length}")
+            raise CircleRopeError(f"text run length must be >= 1, got {self.length}")
 
 
 # A layout is a list of text runs and image grids.
@@ -128,19 +108,15 @@ def parse_layout(text: str) -> list[Segment]:
     for part in text.split(","):
         part = part.strip()
         if not part:
-            raise LayoutError(f"empty segment in layout {text!r}")
+            raise CircleRopeError(f"empty segment in layout {text!r}")
         try:
-            if part.startswith("t"):
-                segments.append(TextSegment(int(part[1:])))
-            elif part.startswith("i"):
-                w, h = part[1:].split("x")
-                segments.append(GridSpec(width=int(w), height=int(h)))
-            else:
-                raise ValueError
-        except (ValueError, IndexError):
-            raise LayoutError(f"bad layout segment {part!r} (expected t<N> or i<W>x<H>)") from None
-    if not segments:
-        raise LayoutError("layout must contain at least one segment")
+            sizes = [int(size) for size in part[1:].split("x")]
+        except ValueError:
+            sizes = []
+        if (part[0], len(sizes)) not in (("t", 1), ("i", 2)):
+            raise CircleRopeError(f"bad layout segment {part!r} (expected t<N> or i<W>x<H>)")
+        # built after the syntax check, so that a size rule (t0, i0x3) names itself
+        segments.append(TextSegment(*sizes) if part[0] == "t" else GridSpec(*sizes))
     return segments
 
 

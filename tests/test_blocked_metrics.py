@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circle_rope.geometry import CipConfig
-from circle_rope.metrics import _BLOCK, DistanceMatrix, MetricError, distance_matrix, ptd
+from circle_rope.metrics import _BLOCK, DistanceMatrix, distance_matrix, ptd
 from circle_rope.schemes import IMAGE, TEXT, IndexedSequence, assign, parse_layout
+from circle_rope.spec import CircleRopeError
 
 MIB = 1 << 20
 
@@ -73,7 +74,7 @@ def test_distance_matrix_equals_norm(convention, shape, seed, scale):
 @pytest.mark.parametrize("shape", [(0, 5), (3, 0)])
 def test_empty_side_is_a_metric_error(shape):
     n_text, n_image = shape
-    with pytest.raises(MetricError, match="both modalities"):
+    with pytest.raises(CircleRopeError, match="both modalities"):
         DistanceMatrix(np.zeros((n_text, 3)), np.ones((n_image, 3)))
 
 

@@ -62,6 +62,30 @@ class TestPtdCommand:
         code, _ = run_cli("ptd", "--layout", "i3x3,q5")
         assert code == 2
 
+    @pytest.mark.parametrize("layout, message", [
+        # well-formed segments whose size breaks the segment's own rule
+        ("t0,i3x3", "text run length must be >= 1, got 0"),
+        ("i0x3,t5", "grid must be at least 1x1, got 0x3"),
+        ("i3x-1,t5", "grid must be at least 1x1, got 3x-1"),
+        # malformed segments
+        ("q5", "bad layout segment 'q5' (expected t<N> or i<W>x<H>)"),
+        ("i3y3,t5", "bad layout segment 'i3y3' (expected t<N> or i<W>x<H>)"),
+        ("t5x3,i3x3", "bad layout segment 't5x3' (expected t<N> or i<W>x<H>)"),
+        ("t3,x7", "bad layout segment 'x7' (expected t<N> or i<W>x<H>)"),
+        ("i3x3,,t5", "empty segment in layout 'i3x3,,t5'"),
+        ("", "empty segment in layout ''"),
+    ])
+    def test_bad_layout_stderr(self, capsys, layout, message):
+        code, text = run_cli("ptd", "--layout", layout)
+        assert (code, text, capsys.readouterr().err) == (2, "", f"error: {message}\n")
+
+    def test_radius_rounding_to_zero_exit_2(self, capsys):
+        # 5e-324, the smallest positive float, times 0.5, the largest norm
+        # of a centered 2x1 grid, rounds to 0.0
+        code, text = run_cli("ptd", "--layout", "i2x1,t1", "--radius", "auto:5e-324")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: radius must be positive, got 0.0\n"
+
     def test_radius_overflow_exit_2(self):
         # k is finite but k * max norm of a 64x64 grid overflows to inf
         code, text = run_cli("ptd", "--layout", "i64x64,t5", "--radius", "auto:1e308")
@@ -142,6 +166,14 @@ class TestAttnCommand:
         code, _ = run_cli("attn", "--layout", "i3x3,t5", "--sections", "1,1,1",
                           "--head-dim", "8")
         assert code == 2
+
+    def test_negative_section_exit_2(self, capsys):
+        # the counts sum to head_dim/2, but one is negative
+        code, text = run_cli("attn", "--layout", "i3x3,t5", "--head-dim", "8",
+                             "--sections", "5,-1,0", "--layers", "2")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: sections must be 3 non-negative counts, got (5, -1, 0)\n"
 
     @pytest.mark.parametrize("layout, layers", [("i3x3,t5", "0"), ("i3x3", "2")],
                              ids=["zero-layers", "no-text"])

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from circle_rope import harness
 from circle_rope.cli import MAX_CELLS, MAX_HEAD_DIM, MAX_LAYERS, MAX_TOKEN_DIMS, MAX_TOKENS, main
-from circle_rope.geometry import GeometryError
-from circle_rope.schemes import LayoutError, parse_layout
+from circle_rope.schemes import parse_layout
+from circle_rope.spec import CircleRopeError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads as W  # noqa: E402
@@ -85,7 +85,7 @@ class TestLimits:
         for layout in layouts:
             try:
                 parse_layout(layout)
-            except (LayoutError, GeometryError):
+            except CircleRopeError:
                 continue  # an invalid-input case
             text, image = W.token_counts(layout)
             assert text + image <= MAX_TOKENS and text * image <= MAX_CELLS, layout

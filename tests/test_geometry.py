@@ -8,7 +8,6 @@ from circle_rope.geometry import (
     CipConfig,
     CipStages,
     FixedRadius,
-    GeometryError,
     GridSpec,
     build_plane_basis,
     centralize,
@@ -22,7 +21,7 @@ from circle_rope.geometry import (
     rotate_to_plane,
     spatial_origin_angles,
 )
-from circle_rope.spec import STAGE_NAMES
+from circle_rope.spec import STAGE_NAMES, CircleRopeError
 
 TWO_PI = 2 * math.pi
 
@@ -53,7 +52,7 @@ class TestGridCoords:
         assert pts[:, 1:].tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
 
     def test_invalid_grid(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(CircleRopeError, match="grid must be at least 1x1, got 0x3"):
             GridSpec(0, 3)
 
 
@@ -75,7 +74,7 @@ class TestCentralize:
         assert centered.tolist() == [[0, 0, 0]]
 
     def test_empty_rejected(self):
-        with pytest.raises(GeometryError, match="empty point set"):
+        with pytest.raises(CircleRopeError, match="empty point set"):
             centralize(np.zeros((0, 3)))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -147,7 +146,7 @@ class TestMixAngles:
         assert mix_angles(np.array([math.pi]), np.array([0.0]), 0.5)[0] == pytest.approx(math.pi / 2)
 
     def test_length_mismatch(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(CircleRopeError, match="angle list length mismatch"):
             mix_angles(np.zeros(2), np.zeros(3), 0.5)
 
 
@@ -162,8 +161,12 @@ class TestComputeRadius:
         assert compute_radius(centered_grid(3, 3), AutoRadius(2.0)) == pytest.approx(2 * math.sqrt(2))
 
     def test_degenerate(self):
-        with pytest.raises(GeometryError, match="degenerate radius"):
+        with pytest.raises(CircleRopeError, match="degenerate radius"):
             compute_radius(centered_grid(1, 1), AutoRadius(1.0))
+
+    def test_empty_point_set(self):
+        with pytest.raises(CircleRopeError, match="empty point set"):
+            compute_radius(np.zeros((0, 3)), AutoRadius(1.0))
 
     @pytest.mark.parametrize("resolve", [
         lambda: compute_radius(centered_grid(3, 3), FixedRadius(math.inf)),
@@ -171,7 +174,7 @@ class TestComputeRadius:
         lambda: compute_radius(centered_grid(64, 64), AutoRadius(1e308)),
     ], ids=["fixed-inf", "auto-inf", "auto-overflow"])
     def test_non_finite_rejected(self, resolve):
-        with pytest.raises(GeometryError, match="finite"):
+        with pytest.raises(CircleRopeError, match="finite"):
             resolve()
 
 
@@ -238,7 +241,7 @@ class TestCipTransform:
         assert len(centered) == 9
 
     def test_1x1_auto_radius_error(self):
-        with pytest.raises(GeometryError, match="degenerate radius"):
+        with pytest.raises(CircleRopeError, match="degenerate radius"):
             cip_transform(GridSpec(1, 1), CipConfig(radius=AutoRadius(1.0)))
 
     def test_1x1_fixed_radius(self):
@@ -298,7 +301,7 @@ class TestDualFrameFusion:
         assert out.tolist() == [[1.0, 1.0, 0.0]]
 
     def test_shape_mismatch(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(CircleRopeError, match="point set shape mismatch"):
             dual_frame_fusion(np.zeros((2, 3)), np.zeros((3, 3)), 0.5)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -331,11 +334,11 @@ def test_config_is_comparable_and_hashable():
 
 
 def test_config_validation():
-    with pytest.raises(GeometryError):
+    with pytest.raises(CircleRopeError, match=r"alpha must be in \[0, 1\], got 1.5"):
         CipConfig(alpha=1.5)
-    with pytest.raises(GeometryError):
+    with pytest.raises(CircleRopeError, match=r"beta must be in \[0, 1\], got -0.1"):
         CipConfig(beta=-0.1)
-    with pytest.raises(GeometryError):
+    with pytest.raises(CircleRopeError, match="fixed radius must be positive and finite, got 0.0"):
         FixedRadius(0.0)
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from circle_rope.geometry import CipConfig, FixedRadius
-from circle_rope.harness import HarnessError, ScheduleStrategy, make_schedule, run_experiment
+from circle_rope.harness import ScheduleStrategy, make_schedule, run_experiment
 from circle_rope.rope import RotaryParams
 from circle_rope.schemes import parse_layout
+from circle_rope.spec import CircleRopeError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads as W  # noqa: E402
@@ -48,13 +49,13 @@ class TestMakeSchedule:
             assert list(make_schedule(n, strategy).circle) == expected, n
 
     def test_invalid_layers(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CircleRopeError, match="num_layers must be >= 1, got 0"):
             make_schedule(0, ScheduleStrategy.ALL_CIRCLE)
 
     @pytest.mark.parametrize("strategy", ["bogus", "alt", None])
     def test_unknown_strategy(self, strategy):
         # a plain string is rejected even where it equals a member's value
-        with pytest.raises(HarnessError):
+        with pytest.raises(CircleRopeError, match="unknown strategy"):
             make_schedule(2, strategy)
 
 
@@ -100,7 +101,7 @@ class TestRunExperiment:
     def test_missing_modality_rejected(self):
         schedule = make_schedule(1, ScheduleStrategy.ALL_CIRCLE)
         for layout in ("t5", "i3x3", "i2x2,i1x3"):
-            with pytest.raises(HarnessError, match="both text and image"):
+            with pytest.raises(CircleRopeError, match="both text and image"):
                 run_experiment(parse_layout(layout), CONFIG, schedule, PARAMS, seed=0)
 
     def test_report_shape(self):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circle_rope.geometry import CipConfig, FixedRadius, GridSpec
-from circle_rope.rope import RopeError, RotaryParams, apply_rotary, logit, rotate_key, \
+from circle_rope.rope import RotaryParams, apply_rotary, logit, rotate_key, \
     rotation_angles
 from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, TextSegment, assign
+from circle_rope.spec import CircleRopeError
 
 
 def reference(key, index, params):
@@ -111,9 +112,9 @@ def test_empty_index(sections):
 
 def test_shape_mismatch_rejected():
     params = RotaryParams(8, sections=(2, 1, 1))
-    with pytest.raises(RopeError):
+    with pytest.raises(CircleRopeError, match=r"need a \(8,\) key .* got \(6,\) and \(2, 3\)"):
         rotate_key(np.ones(6), np.zeros((2, 3)), params)
-    with pytest.raises(RopeError):
+    with pytest.raises(CircleRopeError, match=r"need a \(8,\) key .* got \(8,\) and \(2, 2\)"):
         rotate_key(np.ones(8), np.zeros((2, 2)), params)
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from circle_rope.geometry import CipConfig, FixedRadius
-from circle_rope.metrics import DistanceMatrix, MetricError, distance_matrix, ptd, ptd_of
+from circle_rope.metrics import DistanceMatrix, distance_matrix, ptd, ptd_of
 from circle_rope.schemes import assign, parse_layout
+from circle_rope.spec import CircleRopeError
 
 
 def brute_force_ptd(values):
@@ -48,7 +49,7 @@ class TestDistanceMatrix:
             assert np.allclose(row, expected, atol=1e-9)
 
     def test_missing_modality(self):
-        with pytest.raises(MetricError, match="both modalities"):
+        with pytest.raises(CircleRopeError, match="both modalities"):
             distance_matrix(assign("hard", parse_layout("t3")))
 
 

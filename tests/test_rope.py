@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from circle_rope.rope import RopeError, RotaryParams, apply_rotary, logit, rotation_angles
+from circle_rope.rope import RotaryParams, apply_rotary, logit, rotation_angles
+from circle_rope.spec import CircleRopeError
 
 
 def reference_1d_rope(vec, position, head_dim, base=10000.0):
@@ -17,13 +18,18 @@ def reference_1d_rope(vec, position, head_dim, base=10000.0):
 
 class TestRotaryParams:
     def test_sections_must_sum(self):
-        with pytest.raises(RopeError):
+        with pytest.raises(CircleRopeError, match=r"\(1, 1, 1\) must sum to head_dim/2 = 4"):
             RotaryParams(head_dim=8, sections=(1, 1, 1))
 
+    @pytest.mark.parametrize("sections", [(2, 2), (5, -1, 0)])
+    def test_sections_must_be_three_non_negative_counts(self, sections):
+        with pytest.raises(CircleRopeError, match="sections must be 3 non-negative counts"):
+            RotaryParams(8, sections=sections)
+
     def test_odd_head_dim_rejected(self):
-        with pytest.raises(RopeError):
+        with pytest.raises(CircleRopeError, match="head_dim must be even and positive, got 7"):
             RotaryParams(head_dim=7, sections=(2, 1, 0))
-        with pytest.raises(RopeError, match="even"):
+        with pytest.raises(CircleRopeError, match="even"):
             RotaryParams(7)
 
     def test_default_sections_fill_every_even_head_dim(self):
@@ -67,7 +73,7 @@ class TestApplyRotary:
         assert out == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(RopeError):
+        with pytest.raises(CircleRopeError, match=r"vector dim 6 != 2 \* 2 angles"):
             apply_rotary(np.zeros(6), np.zeros(2))
 
     def test_broadcast_input_gives_c_contiguous_output(self):

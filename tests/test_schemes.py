@@ -8,7 +8,6 @@ from circle_rope.metrics import ptd_of
 from circle_rope.schemes import (
     IMAGE,
     TEXT,
-    LayoutError,
     TextSegment,
     assign,
     assign_circle,
@@ -17,6 +16,7 @@ from circle_rope.schemes import (
     assign_unordered,
     parse_layout,
 )
+from circle_rope.spec import CircleRopeError
 
 
 def img(w, h):
@@ -29,16 +29,22 @@ class TestParseLayout:
         assert segs == [img(3, 3), TextSegment(5)]
 
     def test_bad_segment(self):
-        with pytest.raises(LayoutError, match="x7"):
+        with pytest.raises(CircleRopeError, match="x7"):
             parse_layout("t3,x7")
 
     def test_bad_grid(self):
-        with pytest.raises(LayoutError):
+        with pytest.raises(CircleRopeError, match="bad layout segment 'i3y3'"):
             parse_layout("i3y3")
 
     def test_empty(self):
-        with pytest.raises(LayoutError):
+        with pytest.raises(CircleRopeError, match="empty segment in layout ''"):
             parse_layout("")
+
+    def test_zero_length_text(self):
+        with pytest.raises(CircleRopeError, match="text run length must be >= 1, got 0"):
+            TextSegment(0)
+        with pytest.raises(CircleRopeError, match="text run length must be >= 1, got 0"):
+            parse_layout("t0,i3x3")
 
 
 class TestAssignHard:
@@ -181,5 +187,5 @@ class TestSchemeProperties:
             assert np.allclose(d2, d2[0], atol=1e-9)
 
     def test_unknown_scheme(self):
-        with pytest.raises(LayoutError):
+        with pytest.raises(CircleRopeError, match="unknown scheme 'spiral'"):
             assign("spiral", [TextSegment(1)])
