@@ -16,23 +16,15 @@ import os
 import sys
 
 from .spec import SCHEME_NAMES, STAGE_NAMES, AutoRadius, CipConfig, CircleRopeError, \
-    FixedRadius, GridSpec, ScheduleStrategy, Segment, parse_layout, token_counts
+    FixedRadius, GridSpec, ScheduleStrategy, Segment, integer, parse_layout, token_counts
 
 # Size limits, checked before anything of that size is allocated; beyond them
-# the CLI exits 2. Tokens bound the index arrays of every subcommand.
-# Text x image cells bound PTD time (PTD holds O(T + I) memory, but visits
-# every cell) and the (T, I) float64 logit table of an attention layer, 512 MiB
-# at the limit: `attn` on i128x128,t4096 (spatial, 2 layers, head_dim 64)
-# peaks at 526 MiB under tracemalloc, the table plus the rotated keys.
-# Layers bound the attn report, head_dim its rotation arrays, and tokens x
-# head_dim attn's (tokens, head_dim) float64 arrays (queries, rotated queries,
-# angles, cos, sin). At these limits `attn` peaks at 722 MB of RSS at worst
-# (measured on t256,i256x1000, head_dim 64, all schemes, 2 layers).
-MAX_TOKENS = 1 << 18
-MAX_CELLS = 1 << 26
-MAX_LAYERS = 1 << 10
-MAX_HEAD_DIM = 1 << 9
-MAX_TOKEN_DIMS = 1 << 24
+# the CLI exits 2. The README's "CLI" section gives the peaks measured at them.
+MAX_TOKENS = 1 << 18  # the index arrays of every subcommand
+MAX_CELLS = 1 << 26  # text x image pairs: PTD time, attn's (T, I) logit table
+MAX_LAYERS = 1 << 10  # the attn report
+MAX_HEAD_DIM = 1 << 9  # attn's rotation arrays
+MAX_TOKEN_DIMS = 1 << 24  # tokens x head_dim: attn's (tokens, head_dim) arrays
 
 
 class UsageError(CircleRopeError, argparse.ArgumentTypeError):
@@ -68,7 +60,7 @@ def parse_schemes(text: str) -> tuple[str, ...]:
 def parse_sections(text: str) -> tuple[int, ...]:
     """Three comma-separated rotary pair counts, e.g. `16,8,8`."""
     try:
-        sections = tuple(int(count) for count in text.split(","))
+        sections = tuple(integer(count) for count in text.split(","))
     except ValueError:
         sections = ()
     if len(sections) != 3:
@@ -79,7 +71,7 @@ def parse_sections(text: str) -> tuple[int, ...]:
 def parse_seed(text: str) -> int:
     """A non-negative integer, as numpy's default_rng requires."""
     try:
-        if int(text) >= 0:
+        if integer(text) >= 0:
             return int(text)
     except ValueError:
         pass
@@ -233,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=",".join(SCHEME_NAMES), help="(default: %(default)s)")
     p_attn.add_argument("--schedule", choices=[s.value for s in ScheduleStrategy],
                         default="alt", help="circle-index layers (default: %(default)s)")
-    p_attn.add_argument("--layers", type=int, default=36, help="(default: %(default)s)")
+    p_attn.add_argument("--layers", type=integer, default=36, help="(default: %(default)s)")
     p_attn.add_argument("--seed", type=parse_seed, help="(default: $CIRCLE_ROPE_SEED, else 0)")
-    p_attn.add_argument("--head-dim", type=int, default=64, help="(default: %(default)s)")
+    p_attn.add_argument("--head-dim", type=integer, default=64, help="(default: %(default)s)")
     p_attn.add_argument("--sections", type=parse_sections,
                         help="rotary pairs per axis, e.g. 16,8,8 (default: from head-dim)")
     p_attn.set_defaults(func=cmd_attn)

@@ -5,6 +5,7 @@ compute modules re-export the names of it they use."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -12,6 +13,14 @@ from typing import Union
 
 class CircleRopeError(ValueError):
     """The error circle_rope raises for invalid input."""
+
+
+def integer(text: str) -> int:
+    """The one grammar of every count and seed: ASCII digits after an optional
+    `-`. int() alone also takes `+`, `_`, spaces and non-ASCII digits."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise CircleRopeError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -100,17 +109,16 @@ SCHEME_NAMES = ("hard", "unordered", "spatial", "circle")
 
 
 def parse_layout(text: str) -> list[Segment]:
-    """Parse the compact layout grammar: `t<N>` text runs, `i<W>x<H>` images.
-
-    Segments are comma-separated, e.g. "i3x3,t5".
-    """
+    """Parse the compact layout grammar: comma-separated `t<N>` text runs and
+    `i<W>x<H>` images, e.g. "i3x3,t5", with whitespace allowed around each
+    segment only. N, W and H are `integer`s, each at least 1."""
     segments: list[Segment] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             raise CircleRopeError(f"empty segment in layout {text!r}")
         try:
-            sizes = [int(size) for size in part[1:].split("x")]
+            sizes = [integer(size) for size in part[1:].split("x")]
         except ValueError:
             sizes = []
         if (part[0], len(sizes)) not in (("t", 1), ("i", 2)):

@@ -5,7 +5,9 @@ pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`.
 import io
 import json
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,9 @@ from circle_rope.harness import ScheduleStrategy, make_schedule, run_experiment
 from circle_rope.metrics import DistanceMatrix, distance_matrix, ptd, ptd_of
 from circle_rope.rope import RotaryParams, apply_rotary, logit, rotation_angles
 from circle_rope.schemes import assign, parse_layout
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def report(criterion, ok, detail=""):
@@ -206,12 +211,10 @@ def test_criterion_9_out_of_scope_statement():
 
 
 def test_criterion_10_cli_determinism():
-    argsets = [
-        ["ptd", "--layout", "i3x3,t5", "--beta", "1", "--format", "csv"],
-        ["project", "--layout", "i4x3,t2", "--stage", "projected", "--format", "json"],
-        ["attn", "--layout", "i3x3,t5", "--seed", "42", "--layers", "4",
-         "--head-dim", "8", "--sections", "2,1,1"],
-    ]
+    # the acceptance argsets, as the benchmark's catalogue holds them
+    cases = {case["id"]: case for case in workloads.cli_cases()}
+    argsets = [cases[case_id]["argv"] for case_id in ("accept-ptd", "accept-project",
+                                                      "accept-attn")]
     ok = True
     for args in argsets:
         outputs = []

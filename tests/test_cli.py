@@ -73,6 +73,11 @@ class TestPtdCommand:
         ("t5x3,i3x3", "bad layout segment 't5x3' (expected t<N> or i<W>x<H>)"),
         ("t3,x7", "bad layout segment 'x7' (expected t<N> or i<W>x<H>)"),
         ("i3x3,,t5", "empty segment in layout 'i3x3,,t5'"),
+        # sizes that int() takes but the ASCII integer grammar does not
+        ("t1_0,i3x3", "bad layout segment 't1_0' (expected t<N> or i<W>x<H>)"),
+        ("t+5,i\u0663x3", "bad layout segment 't+5' (expected t<N> or i<W>x<H>)"),
+        ("t5,i\u0663x3", "bad layout segment 'i\u0663x3' (expected t<N> or i<W>x<H>)"),
+        ("t 5,i3x3", "bad layout segment 't 5' (expected t<N> or i<W>x<H>)"),
         ("", "empty segment in layout ''"),
     ])
     def test_bad_layout_stderr(self, capsys, layout, message):
@@ -162,6 +167,17 @@ class TestAttnCommand:
         assert code == 0
         assert run_cli(*args, "--sections", "32,16,16") == (0, default)
 
+    @pytest.mark.parametrize("schedule, circle_layers", [("upper", {4, 5}), ("lower", {1, 2, 3})],
+                             ids=["upper", "lower"])
+    def test_odd_layer_count_splits_at_the_ceiling(self, schedule, circle_layers):
+        code, text = run_cli("attn", "--layout", "i3x3,t5", "--schedule", schedule,
+                             "--layers", "5", "--head-dim", "8", "--sections", "2,1,1")
+        assert code == 0
+        report = json.loads(text)
+        # circle's other layers run on the spatial indices, with their stats
+        assert {layer for layer in range(1, 6)
+                if report["circle"][str(layer)] != report["spatial"][str(layer)]} == circle_layers
+
     def test_bad_sections_exit_2(self):
         code, _ = run_cli("attn", "--layout", "i3x3,t5", "--sections", "1,1,1",
                           "--head-dim", "8")
@@ -227,7 +243,8 @@ class TestConfigAndEnv:
         assert text.startswith("scheme,ptd,distance_convention\n")
 
     @pytest.mark.parametrize("line", ["layers=abc", "alpha=x", "beta=x", "radius=abc",
-                                      "seed=1.5", "head-dim=abc"])
+                                      "seed=1.5", "head-dim=abc", "layers=\u0662",
+                                      "head-dim=1_6", "seed=1_000"])
     def test_config_value_of_wrong_type_exit_2(self, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")

@@ -28,7 +28,9 @@ SETTINGS = {
 
 BAD_VALUES = ["alpha=x", "beta=x", "radius=abc", "radius=fixed:-1", "format=xml",
               "schemes=hard,square", "stage=warped", "schedule=sideways", "layers=abc",
-              "seed=-1", "seed=1.5", "head-dim=abc", "sections=1,2", "sections=a,b,c"]
+              "seed=-1", "seed=1.5", "head-dim=abc", "sections=1,2", "sections=a,b,c",
+              # int() takes these; the ASCII integer grammar does not
+              "layers=\u0662", "head-dim=1_6", "seed=1_000", "seed=+7", "sections=4,+2,2"]
 COMMANDS = {"ptd": PTD, "project": ["project", "--layout", "i3x3,t1", "--stage", "fused"],
             "attn": ATTN}
 
@@ -107,7 +109,11 @@ def test_config_file_with_a_byte_order_mark_is_read(capsys, tmp_path, command):
     ["ptd", "--layout", "i3x3,t5", "--schemes", "hard,square"],
     ["attn", "--layout", "i3x3,t5", "--sections", "1,2"],
     ["attn", "--layout", "i3x3,t5", "--seed", "-1"],
-], ids=["stage", "schemes", "sections", "seed"])
+    ["attn", "--layout", "i3x3,t5", "--layers", "\u0662"],
+    ["attn", "--layout", "i3x3,t5", "--head-dim", "1_6"],
+    ["attn", "--layout", "i3x3,t5", "--seed", "1_000"],
+], ids=["stage", "schemes", "sections", "seed", "layers-non-ascii", "head-dim-underscore",
+        "seed-underscore"])
 def test_bad_flag_prints_usage_and_an_argparse_error(capsys, argv):
     code, stdout, stderr = run(capsys, *argv)
     assert (code, stdout) == (2, "")
@@ -115,7 +121,7 @@ def test_bad_flag_prints_usage_and_an_argparse_error(capsys, argv):
     assert stderr.startswith("usage: ") and f"error: argument {flag}" in stderr.splitlines()[-1]
 
 
-@pytest.mark.parametrize("text", ["-4", "x", "1.5"])
+@pytest.mark.parametrize("text", ["-4", "x", "1.5", "+7", "1_000"])
 def test_bad_seed_environment_exits_2_with_one_line(capsys, monkeypatch, text):
     monkeypatch.setenv("CIRCLE_ROPE_SEED", text)
     code, stdout, stderr = run(capsys, *ATTN[:-2])
@@ -128,7 +134,7 @@ def test_seed_environment_is_ignored_where_there_is_no_seed(capsys, monkeypatch)
     assert run(capsys, *PTD)[0] == 0
 
 
-@pytest.mark.parametrize("seed", ["0", "7", "+7"])
+@pytest.mark.parametrize("seed", ["0", "7", "007"])
 def test_seed_sources_agree(capsys, monkeypatch, tmp_path, seed):
     monkeypatch.delenv("CIRCLE_ROPE_SEED", raising=False)
     by_flag = run(capsys, *ATTN[:-2], "--seed", seed)

@@ -1,7 +1,9 @@
-"""Golden stdout digests of `attn`, `ptd` and `project` runs.
+"""Golden exit codes and stdout digests of every CLI call in the benchmark's
+catalogue, perfbench/workloads.py: `cli_cases()`, whose digests the benchmark
+records in perfbench/cli_expected.json (exit code, stdout sha256, stdout
+bytes), and `cli_probes()`, which must exit 2 with nothing on stdout. This
+test keeps no list of calls of its own and only reads that file.
 
-The digests are the ones the benchmark records in perfbench/cli_expected.json
-(exit code, stdout sha256, stdout bytes); this test only reads that file.
 The `attn` runs change in their last digit if a rotated key array is not
 C-contiguous, because the logit matmul then sums in another order. The `ptd`
 runs change if the block-wise PTD sum adds in another order than numpy's
@@ -12,9 +14,9 @@ and a flag combine.
 
 The last digits of `attn` also depend on the OpenBLAS kernel that runs the
 logit matmul, which OpenBLAS picks for the CPU (or as OPENBLAS_CORETYPE
-forces). So the attn digests are keyed by the kernel's core name: the file's
-are the SkylakeX ones, and ATTN_DIGESTS holds the others. A core name with no
-entry fails.
+forces). So the digests of the `attn` cases that succeed are keyed by the
+kernel's core name: the file's are the SkylakeX ones, and ATTN_DIGESTS holds
+those of the other cores where they differ. A core name outside CORES fails.
 """
 
 import ctypes
@@ -31,42 +33,56 @@ import pytest
 
 from circle_rope.cli import main
 
-EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "cli_expected.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import workloads  # noqa: E402
 
-# Recorded under OPENBLAS_CORETYPE on an AVX-512 Intel Xeon, numpy 2.4.6 with
-# scipy-openblas 0.3.31. Forced Prescott or Core2 reads back as Katmai, Zen
-# as Haswell, Cooperlake and SapphireRapids as SkylakeX.
-ATTN_DIGESTS = {
-    "Katmai": {
-        "attn-hd128": [0, "23da67946da938d69ec159537780357ab74c054171d7536d34a1184bee931576", 7091],
-        "attn-env-seed": [0, "557670618d72edcbe695f10eb0e36d39ed60567d262ff7d6b51d7180c777a47f",
-                          2552],
-        "config-attn": [0, "6744f8a6e7c1a06b80d96d6f9c5afb42863ca01db79018f7d03f5fa778e76713",
-                        3647],
-    },
-    "Nehalem": {
-        "attn-hd128": [0, "23da67946da938d69ec159537780357ab74c054171d7536d34a1184bee931576", 7091],
-        "attn-env-seed": [0, "557670618d72edcbe695f10eb0e36d39ed60567d262ff7d6b51d7180c777a47f",
-                          2552],
-        "config-attn": [0, "b8a7e23868030576e38836aeab0e9db182e730daf9942320b4d9a1fa3fe0a260",
-                        3650],
-    },
-    "Sandybridge": {
-        "attn-hd128": [0, "23da67946da938d69ec159537780357ab74c054171d7536d34a1184bee931576", 7091],
-        "attn-env-seed": [0, "557670618d72edcbe695f10eb0e36d39ed60567d262ff7d6b51d7180c777a47f",
-                          2552],
-        "config-attn": [0, "d75a41845d91414fc48dfbec81f7f98eada4eac1c862df1283e100ca78b8adbf",
-                        3530],
-    },
-    "Haswell": {
-        "attn-hd128": [0, "0345db6d4ac37fc766e066f315829d571e1ea1ba4dcccc83552abc2ed3084add", 7067],
-        "attn-env-seed": [0, "1fb769c3d383eccd22024e949fc2aa0d2def9535e438b17f5adbd4beafe079f5",
-                          2544],
-        "config-attn": [0, "3d5fb5fe69c54a781962f44fc5729679e4898a4a5941f0599b02dc6c4a9ab897",
-                        3518],
-    },
-}
-ATTN_CASES = ("attn-hd128", "attn-env-seed", "config-attn")
+EXPECTED = json.loads((PERFBENCH / "cli_expected.json").read_text())
+CASES = {case["id"]: case for case in workloads.cli_cases() + workloads.cli_probes()}
+PROBES = {case["id"] for case in workloads.cli_probes()}
+ATTN_CASES = [case_id for case_id, case in CASES.items()
+              if case["argv"][0] == "attn" and EXPECTED[case_id][0] == 0]
+
+CORES = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai")
+# Case id, core, then exit code, stdout sha256 and stdout bytes, where they
+# differ from the file's SkylakeX digest. Recorded under OPENBLAS_CORETYPE on
+# an AVX-512 Intel Xeon, numpy 2.4.6 with scipy-openblas 0.3.31. Forced
+# Prescott or Core2 reads back as Katmai, Zen as Haswell, Cooperlake and
+# SapphireRapids as SkylakeX.
+ATTN_DIGESTS = {(case_id, core): [int(code), sha, int(size)]
+                for case_id, core, code, sha, size in map(str.split, """
+readme-attn   Haswell     0 2c253103e7ef6962da3f6a269b672d4c23ba845267ca6d2b0758e359c07cb72d 2523
+readme-attn   Sandybridge 0 a8b9ed1df27d041d982f5831046955139a2f7e552d007d56ab8adbee68bf5766 2441
+readme-attn   Nehalem     0 08325dc48b6fbfc863e645347b5bebb6ec25b806b9541f10dc0008c32ec56fbf 2515
+readme-attn   Katmai      0 8805445b4a52764de15bb066af714a851f915533073f799dd91f362f4716cad4 2439
+accept-attn   Haswell     0 9ef69ae54cae648c1374156c22932e36a3001cc2ab410bad7f2b746eef0f3e30 2521
+accept-attn   Sandybridge 0 328d2b66c26511680a2a35fb0f4fc9fcf54e440e4b9cef9296ba1b16222b4925 2449
+accept-attn   Nehalem     0 756e9f126d201a766dcca97c9805e8a8563796994f817ac6da7c317fb2fb7fcb 2527
+accept-attn   Katmai      0 2318f7ca5ac60a0dd54db9563412ce5dad631ebd8291b646eb2f9b08509f16b6 2523
+attn-hd128    Haswell     0 0345db6d4ac37fc766e066f315829d571e1ea1ba4dcccc83552abc2ed3084add 7067
+attn-hd128    Sandybridge 0 23da67946da938d69ec159537780357ab74c054171d7536d34a1184bee931576 7091
+attn-hd128    Nehalem     0 23da67946da938d69ec159537780357ab74c054171d7536d34a1184bee931576 7091
+attn-hd128    Katmai      0 23da67946da938d69ec159537780357ab74c054171d7536d34a1184bee931576 7091
+attn-env-seed Haswell     0 1fb769c3d383eccd22024e949fc2aa0d2def9535e438b17f5adbd4beafe079f5 2544
+attn-env-seed Sandybridge 0 557670618d72edcbe695f10eb0e36d39ed60567d262ff7d6b51d7180c777a47f 2552
+attn-env-seed Nehalem     0 557670618d72edcbe695f10eb0e36d39ed60567d262ff7d6b51d7180c777a47f 2552
+attn-env-seed Katmai      0 557670618d72edcbe695f10eb0e36d39ed60567d262ff7d6b51d7180c777a47f 2552
+attn-all      Sandybridge 0 6347e2b69c1f5c434d2be979c8ad67872b6eed63a44b7b62397005af69ed1189 3521
+attn-all      Nehalem     0 6347e2b69c1f5c434d2be979c8ad67872b6eed63a44b7b62397005af69ed1189 3521
+attn-all      Katmai      0 6347e2b69c1f5c434d2be979c8ad67872b6eed63a44b7b62397005af69ed1189 3521
+attn-upper    Sandybridge 0 5878fc7c0c070952a1de7eb91f42b15203bdca47ad48e6fa75a50bdcb6fb0969 3521
+attn-upper    Nehalem     0 5878fc7c0c070952a1de7eb91f42b15203bdca47ad48e6fa75a50bdcb6fb0969 3521
+attn-upper    Katmai      0 5878fc7c0c070952a1de7eb91f42b15203bdca47ad48e6fa75a50bdcb6fb0969 3521
+attn-lower    Sandybridge 0 6fd7cc6ccb9b72d6192de74ad6160b2547f347c2328282adb843e13d8a9df15a 3521
+attn-lower    Nehalem     0 6fd7cc6ccb9b72d6192de74ad6160b2547f347c2328282adb843e13d8a9df15a 3521
+attn-lower    Katmai      0 6fd7cc6ccb9b72d6192de74ad6160b2547f347c2328282adb843e13d8a9df15a 3521
+attn-alt      Sandybridge 0 921bf6ded2c4d3619a52dcba3df078e013329f323195e06e88eba0aa69977f82 3521
+attn-alt      Nehalem     0 921bf6ded2c4d3619a52dcba3df078e013329f323195e06e88eba0aa69977f82 3521
+attn-alt      Katmai      0 921bf6ded2c4d3619a52dcba3df078e013329f323195e06e88eba0aa69977f82 3521
+config-attn   Sandybridge 0 d75a41845d91414fc48dfbec81f7f98eada4eac1c862df1283e100ca78b8adbf 3530
+config-attn   Nehalem     0 b8a7e23868030576e38836aeab0e9db182e730daf9942320b4d9a1fa3fe0a260 3650
+config-attn   Katmai      0 6744f8a6e7c1a06b80d96d6f9c5afb42863ca01db79018f7d03f5fa778e76713 3647
+""".strip().splitlines())}
 
 
 def openblas_core() -> str | None:
@@ -82,69 +98,25 @@ def openblas_core() -> str | None:
 
 
 def expected_digest(case_id: str) -> list:
-    recorded = json.loads(EXPECTED.read_text())[case_id]
+    if case_id in PROBES:
+        return [2, hashlib.sha256(b"").hexdigest(), 0]
     if case_id not in ATTN_CASES:
-        return recorded
+        return EXPECTED[case_id]
     core = openblas_core()
-    by_core = {"SkylakeX": recorded, **{name: digests[case_id]
-                                        for name, digests in ATTN_DIGESTS.items()}}
-    assert core in by_core, f"no attn digests recorded for OpenBLAS core {core!r}"
-    return by_core[core]
-
-
-CASES = {
-    "attn-hd128": (["attn", "--layout", "i8x8,t16", "--layers", "12", "--head-dim", "128",
-                    "--sections", "16,24,24", "--seed", "5"], None, {}),
-    "attn-env-seed": (["attn", "--layout", "t4,i6x6,t4", "--layers", "8", "--head-dim", "32",
-                       "--schemes", "circle,spatial"], None, {"CIRCLE_ROPE_SEED": "11"}),
-    "config-attn": (["attn", "--layout", "i5x5,t6"],
-                    "layers = 6\nschedule = upper\nhead-dim = 16\nsections = 4,2,2\nseed = 9\n",
-                    {}),
-    "ptd-table": (["ptd", "--layout", "t8,i8x8,t8"], None, {}),
-    "ptd-json": (["ptd", "--layout", "i16x16,t32,i8x8", "--format", "json"], None, {}),
-    "ptd-csv-large": (["ptd", "--layout", "i32x32,t64", "--format", "csv"], None, {}),
-    "ptd-auto-radius": (["ptd", "--layout", "i12x9,t20", "--radius", "auto:1.5"], None, {}),
-    "ptd-alpha0-beta0": (["ptd", "--layout", "i6x6,t6", "--alpha", "0", "--beta", "0"],
-                         None, {}),
-    "ptd-one-scheme": (["ptd", "--layout", "t3,i10x5,t7", "--scheme", "circle"], None, {}),
-    "config-ptd-json": (["ptd", "--layout", "i8x8,t8"],
-                        "format = json\nradius = auto:1.5\nschemes = hard,circle\n", {}),
-    "readme-project": (["project", "--layout", "i3x3,t1", "--stage", "projected", "--alpha",
-                        "0.5", "--radius", "10", "--format", "csv"], None, {}),
-    "accept-project": (["project", "--layout", "i4x3,t2", "--stage", "projected",
-                        "--format", "json"], None, {}),
-    "project-auto-alpha0": (["project", "--layout", "i8x8,t2", "--stage", "circle2d",
-                             "--radius", "auto:2", "--alpha", "0"], None, {}),
-    "project-alpha1-beta0": (["project", "--layout", "i8x6,t2", "--stage", "fused", "--alpha",
-                              "1", "--beta", "0", "--format", "table"], None, {}),
-    "project-two-images": (["project", "--layout", "i5x4,t3,i16x12", "--stage", "fused",
-                            "--radius", "fixed:4", "--format", "json"], None, {}),
-    **{f"project-{layout}-{stage}-{fmt}": (["project", "--layout", layout, "--stage", stage,
-                                            "--format", fmt], None, {})
-       for layout in ("i3x3,t1", "i64x64,t8")
-       for stage in ("centered", "circle2d", "projected", "fused")
-       for fmt in ("csv", "json", "table")},
-    "config-beta1": (["ptd", "--layout", "i3x3,t5", "--format", "csv"],
-                     "beta = 1.0\nalpha = 0.25  # flags win over this\n", {}),
-    "config-flag-wins": (["ptd", "--layout", "i3x3,t5", "--beta", "0", "--format", "csv"],
-                         "beta = 1.0\nalpha = 0.25  # flags win over this\n", {}),
-    "config-project": (["project", "--layout", "i6x5,t2", "--stage", "fused"],
-                       "alpha=0\nbeta=0.5\nformat=table\nradius=fixed:4\n", {}),
-}
+    assert core in CORES, f"no attn digests recorded for OpenBLAS core {core!r}"
+    return ATTN_DIGESTS.get((case_id, core), EXPECTED[case_id])
 
 
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_stdout_digest(case_id, tmp_path, monkeypatch):
-    argv, config, env = CASES[case_id]
+    case = CASES[case_id]
+    workloads.write_cli_configs([case], str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CIRCLE_ROPE_SEED", raising=False)
-    for name, value in env.items():
+    for name, value in case["env"].items():
         monkeypatch.setenv(name, value)
-    if config is not None:
-        cfg = tmp_path / f"{case_id}.cfg"
-        cfg.write_text(config)
-        argv = [*argv, "--config", str(cfg)]
     out = io.StringIO()
-    code = main(argv, out=out)
+    code = main(workloads.cli_argv(case, str(tmp_path)), out=out)
     data = out.getvalue().encode()
     assert [code, hashlib.sha256(data).hexdigest(), len(data)] == expected_digest(case_id)
 

@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circle_rope.geometry import CipConfig, FixedRadius, GridSpec, centralize, grid_coords
 from circle_rope.metrics import ptd_of
@@ -21,6 +23,18 @@ from circle_rope.spec import CircleRopeError
 
 def img(w, h):
     return GridSpec(width=w, height=h)
+
+
+# Layout segments, well-formed or nearly: sizes that int() takes but the
+# grammar does not, whitespace around and inside segments, other letters.
+_sizes = st.integers(1, 999).map(str) | st.sampled_from(
+    ["0", "-1", "05", "+5", "1_0", "\u0663", "\uff15", " 5", ""])
+_space = st.sampled_from(["", " ", "\t", "\u00a0"])
+LAYOUT_SEGMENTS = st.one_of(
+    st.tuples(_space, st.just("t"), _sizes, _space),
+    st.tuples(_space, st.just("i"), _sizes, st.just("x"), _sizes, _space),
+    st.tuples(st.sampled_from("tixq"), _sizes, st.sampled_from("xy"), _sizes),
+).map("".join)
 
 
 class TestParseLayout:
@@ -45,6 +59,30 @@ class TestParseLayout:
             TextSegment(0)
         with pytest.raises(CircleRopeError, match="text run length must be >= 1, got 0"):
             parse_layout("t0,i3x3")
+
+    def test_whitespace_around_segments_is_accepted(self):
+        assert parse_layout(" t5 , i3x3 ") == parse_layout("t5,i3x3")
+        assert parse_layout("\tt5,\u00a0i3x3\n") == parse_layout("t5,i3x3")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(LAYOUT_SEGMENTS, min_size=1, max_size=3).map(",".join) | st.text(max_size=8))
+    def test_grammar(self, text):
+        # parses exactly when the text is comma-separated t<N> and i<W>x<H>
+        # segments, whitespace around each only, every N, W and H ASCII
+        # digits and at least 1; the segments render back to the text
+        # without its whitespace and the numbers' leading zeros
+        try:
+            segments = parse_layout(text)
+        except CircleRopeError:
+            segments = None
+        segment = r"\s*(t[0-9]+|i[0-9]+x[0-9]+)\s*"
+        valid = (re.fullmatch(rf"{segment}(,{segment})*", text) is not None
+                 and all(int(n) >= 1 for n in re.findall("[0-9]+", text)))
+        assert (segments is not None) == valid
+        if valid:
+            rendered = ",".join(f"t{seg.length}" if isinstance(seg, TextSegment)
+                                else f"i{seg.width}x{seg.height}" for seg in segments)
+            assert rendered == re.sub(r"\s|(?<![0-9])0+(?=[0-9])", "", text)
 
 
 class TestAssignHard:
