@@ -3,14 +3,9 @@ pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import io
-import json
-import math
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from circle_rope.cli import main
 from circle_rope.geometry import (
@@ -31,9 +26,7 @@ from circle_rope.harness import ScheduleStrategy, make_schedule, run_experiment
 from circle_rope.metrics import DistanceMatrix, distance_matrix, ptd, ptd_of
 from circle_rope.rope import RotaryParams, apply_rotary, logit, rotation_angles
 from circle_rope.schemes import assign, parse_layout
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads  # noqa: E402
+import workloads
 
 
 def report(criterion, ok, detail=""):

@@ -20,7 +20,7 @@ from circle_rope.geometry import (
 )
 from circle_rope.schemes import IMAGE, TextSegment, assign
 
-grids = st.builds(GridSpec, width=st.integers(1, 24), height=st.integers(1, 24))
+grids = st.builds(GridSpec, width=st.integers(1, 64), height=st.integers(1, 64))
 radii = st.one_of(st.builds(FixedRadius, st.floats(1e-3, 1e6)),
                   st.builds(AutoRadius, st.floats(1e-3, 1e3)))
 alphas = st.floats(0, 1)
@@ -33,7 +33,7 @@ def usable(grid, radius):
     return grid.num_tokens > 1 or isinstance(radius, FixedRadius)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(layout=segments, alpha=alphas, radius=radii)
 def test_cone_every_text_token_is_equidistant_from_each_image(layout, alpha, radius):
     kinds = {type(seg) for seg in layout}
@@ -54,7 +54,7 @@ def test_cone_every_text_token_is_equidistant_from_each_image(layout, alpha, rad
         assert (spread <= 1e-9 * dists.max(axis=1)).all(), spread.max()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(grid=grids, alpha=alphas, radius=radii)
 def test_plane_projected_circle_is_orthogonal_to_the_text_direction(grid, alpha, radius):
     assume(usable(grid, radius))
@@ -70,7 +70,7 @@ def test_plane_projected_circle_is_orthogonal_to_the_text_direction(grid, alpha,
     assert np.abs(np.linalg.norm(stages.projected, axis=1) - r).max() <= 2e-12 * r
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(grid=grids, radius=radii, alpha=st.sampled_from([0.0, 1.0]),
        beta=st.sampled_from([0.0, 1.0]))
 def test_endpoints_are_exact(grid, radius, alpha, beta):

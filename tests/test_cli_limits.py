@@ -2,8 +2,6 @@
 a finite answer with exit 0, or a message with exit 2 and empty stdout."""
 
 import io
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,9 +10,7 @@ from circle_rope import harness
 from circle_rope.cli import MAX_CELLS, MAX_HEAD_DIM, MAX_LAYERS, MAX_TOKEN_DIMS, MAX_TOKENS, main
 from circle_rope.schemes import parse_layout
 from circle_rope.spec import CircleRopeError
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads as W  # noqa: E402
+import workloads as W
 
 
 def run_cli(capsys, *argv):
@@ -123,7 +119,7 @@ commands = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=commands, layout=layouts, alpha=unit, beta=unit, radius=radii)
 def test_exit_0_is_finite_and_every_other_exit_is_2(capsys, command, layout, alpha, beta, radius):
     argv = [*command, "--layout", layout, "--alpha", repr(alpha), "--beta", repr(beta),

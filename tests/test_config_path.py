@@ -1,7 +1,8 @@
 """One config path: a config-file value passes its flag's own converter and
-choices, a flag overrides it, and a bad value exits 2 with one stderr line
-that names the file. Also the seed converter and the CLI behaviour that the
-single projection pipeline and the argparse converters fix."""
+choices, a flag overrides it, a valid key of another subcommand is accepted,
+and a bad value exits 2 with one stderr line that names the file. Also the
+seed converter and the CLI behaviour that the single projection pipeline and
+the argparse converters fix."""
 
 import io
 
@@ -70,6 +71,13 @@ def test_bad_file_value_exits_2_with_one_line_naming_the_file(capsys, tmp_path, 
     code, stdout, stderr = run(capsys, *COMMANDS[command], "--config", cfg)
     assert (code, stdout) == (2, "")
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ") and cfg in stderr
+
+
+def test_config_key_of_another_subcommand_accepted(capsys, tmp_path):
+    # `layers` is an attn setting; ptd takes the file's `format` and ignores it
+    cfg = config(tmp_path, "layers = 6\nformat = csv\n")
+    code, stdout, _ = run(capsys, *PTD, "--config", cfg)
+    assert code == 0 and stdout.startswith("scheme,ptd,distance_convention\n")
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -258,32 +258,6 @@ class TestCipTransform:
         assert np.allclose(np.linalg.norm(p1, axis=1), 10.0, atol=1e-9)
         assert not np.allclose(p0, p1)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_circle_membership_sweep(self, alpha, seed):
-        rng = np.random.default_rng(seed)
-        w, h = (int(x) for x in rng.integers(1, 65, size=2))
-        radius = float(rng.uniform(0.5, 20.0))
-        config = CipConfig(alpha=alpha, radius=FixedRadius(radius))
-        projected = cip_transform(GridSpec(w, h), config).projected
-        n, _, _ = build_plane_basis()
-        assert np.allclose(np.linalg.norm(projected, axis=1), radius, atol=1e-9)
-        assert np.all(np.abs(projected @ n) < 1e-9)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_equidistance_from_text_line(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        w, h = (int(x) for x in rng.integers(1, 33, size=2))
-        radius = float(rng.uniform(1.0, 50.0))
-        t = float(rng.uniform(-100, 100))
-        projected = cip_transform(
-            GridSpec(w, h), CipConfig(alpha=float(rng.uniform(0, 1)), radius=FixedRadius(radius))
-        ).projected
-        apex = t * np.ones(3)
-        dists = np.linalg.norm(projected - apex, axis=1)
-        expected = math.sqrt(3 * t * t + radius * radius)
-        assert np.allclose(dists, expected, atol=1e-9 * max(1.0, expected))
-
 
 class TestDualFrameFusion:
     def test_beta_one(self):

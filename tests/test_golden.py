@@ -32,10 +32,9 @@ import numpy
 import pytest
 
 from circle_rope.cli import main
+import workloads
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
-import workloads  # noqa: E402
 
 EXPECTED = json.loads((PERFBENCH / "cli_expected.json").read_text())
 CASES = {case["id"]: case for case in workloads.cli_cases() + workloads.cli_probes()}
@@ -127,13 +126,16 @@ def test_stdout_digest(case_id, tmp_path, monkeypatch):
                                             ("Sandybridge", "Sandybridge"),
                                             ("Haswell", "Haswell")])
 def test_attn_digests_under_forced_core(coretype, core):
-    # the child prints the core it runs on, then reruns the golden attn cases
-    script = ("import sys, pytest; sys.path.insert(0, sys.argv[1]); import test_golden; "
+    # the child prints the core it runs on, then reruns the golden attn cases;
+    # it imports this module before pytest loads the conftest, so it puts the
+    # tests and perfbench directories on its path itself
+    script = ("import sys, pytest; sys.path[:0] = sys.argv[1:3]; import test_golden; "
               "print(test_golden.openblas_core(), flush=True); "
-              "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[2:]]))")
+              "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[3:]]))")
     here = Path(__file__).resolve()
     node_ids = [f"{here}::test_stdout_digest[{case}]" for case in ATTN_CASES]
-    proc = subprocess.run([sys.executable, "-c", script, str(here.parent), *node_ids],
+    proc = subprocess.run([sys.executable, "-c", script, str(here.parent), str(PERFBENCH),
+                           *node_ids],
                           capture_output=True, text=True,
                           env={**os.environ, "OPENBLAS_CORETYPE": coretype}, timeout=120)
     assert proc.stdout.split("\n", 1)[0] == core, proc.stdout[-2000:]

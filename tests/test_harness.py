@@ -1,8 +1,5 @@
 import json
-import sys
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from circle_rope.geometry import CipConfig, FixedRadius
@@ -10,9 +7,7 @@ from circle_rope.harness import ScheduleStrategy, make_schedule, run_experiment
 from circle_rope.rope import RotaryParams
 from circle_rope.schemes import parse_layout
 from circle_rope.spec import CircleRopeError
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import workloads as W  # noqa: E402
+import workloads as W
 
 CONFIG = CipConfig(alpha=0.5, radius=FixedRadius(10.0), beta=0.1)
 PARAMS = RotaryParams(head_dim=8, sections=(2, 1, 1))

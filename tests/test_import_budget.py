@@ -11,9 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import workloads as W
+
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-import workloads as W  # noqa: E402
 
 # Runs each argv through cli.main and prints, per call, the exit code and
 # the numpy and circle_rope modules loaded so far.

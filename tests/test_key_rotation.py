@@ -59,7 +59,7 @@ def keys(draw, head_dim):
     return np.array(draw(st.lists(entries, min_size=head_dim, max_size=head_dim)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(data=st.data(), params=rotary_params(), index=indices())
 def test_equals_broadcast_apply_rotary(data, params, index):
     assert_same_bytes(data.draw(keys(params.head_dim)), index, params)
@@ -75,7 +75,7 @@ configs = st.builds(
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(segments=layouts, config=configs, scheme=st.sampled_from(SCHEME_NAMES),
        params=rotary_params(), seed=st.integers(0, 2**32 - 1))
 def test_equals_broadcast_apply_rotary_on_scheme_indices(segments, config, scheme, params, seed):
@@ -127,7 +127,7 @@ coords = st.floats(-100, 100, allow_nan=False)
 points = st.lists(coords, min_size=3, max_size=3).map(np.array)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(params=rotary_params(), seed=st.integers(0, 2**32 - 1), q_index=points, k_index=points,
        shift=points)
 def test_logit_depends_on_relative_position_only(params, seed, q_index, k_index, shift):

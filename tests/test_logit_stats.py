@@ -16,7 +16,7 @@ shapes = st.one_of(st.just((1, 1)), st.tuples(st.just(1), sides), st.tuples(side
                    st.tuples(sides, sides))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(shape=shapes, seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6),
        offset=st.floats(-1e6, 1e6))
 def test_mean_std_equal_numpy(shape, seed, scale, offset):

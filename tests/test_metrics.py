@@ -51,6 +51,8 @@ class TestDistanceMatrix:
     def test_missing_modality(self):
         with pytest.raises(CircleRopeError, match="both modalities"):
             distance_matrix(assign("hard", parse_layout("t3")))
+        with pytest.raises(CircleRopeError, match="both modalities"):
+            DistanceMatrix(np.zeros((0, 3)), np.ones((5, 3)))
 
 
 class TestPtd:

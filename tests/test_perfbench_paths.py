@@ -5,14 +5,12 @@ which no other test runs."""
 
 import ast
 import importlib
-import sys
 from pathlib import Path
 
 import pytest
+import tracer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
-import tracer  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(tracer.TARGETS))

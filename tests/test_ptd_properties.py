@@ -50,7 +50,7 @@ def ptd_and_convention(seq):
     return ptd(matrix), matrix.convention
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(layout=layouts, scheme=st.sampled_from(SCHEME_NAMES), config=configs, scale=powers_of_two)
 def test_scaling_by_a_power_of_two_scales_ptd_exactly(layout, scheme, config, scale):
     seq = indexed(layout, scheme, config)
@@ -58,7 +58,7 @@ def test_scaling_by_a_power_of_two_scales_ptd_exactly(layout, scheme, config, sc
     assert ptd_and_convention(moved(seq, scale=scale)) == (scale * base, convention)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(layout=layouts, scheme=st.sampled_from(INTEGER_SCHEMES), shift=st.integers(-10**6, 10**6))
 def test_integer_shift_along_the_text_line_keeps_integer_scheme_ptd_exactly(layout, scheme,
                                                                              shift):
@@ -70,7 +70,7 @@ def test_integer_shift_along_the_text_line_keeps_integer_scheme_ptd_exactly(layo
 COLLAPSE = {"scalar": 0, "planar": 1, "3d": 2}
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(layout=layouts, scheme=st.sampled_from(SCHEME_NAMES), config=configs,
        scale=st.floats(1e-3, 1e3), shift=st.floats(-1e6, 1e6))
 def test_any_scale_and_shift_hold_within_the_stated_tolerance(layout, scheme, config, scale,
@@ -135,7 +135,7 @@ def test_scalar_oracle_at_the_pair_limit(scheme, layout):
     oracle_check(seq)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(layout=layouts, scheme=st.sampled_from(["hard", "unordered"]))
 def test_scalar_oracle_on_random_layouts(layout, scheme):
     oracle_check(assign(scheme, layout))

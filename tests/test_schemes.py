@@ -1,4 +1,3 @@
-import math
 import re
 
 import numpy as np
@@ -64,7 +63,7 @@ class TestParseLayout:
         assert parse_layout(" t5 , i3x3 ") == parse_layout("t5,i3x3")
         assert parse_layout("\tt5,\u00a0i3x3\n") == parse_layout("t5,i3x3")
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(st.lists(LAYOUT_SEGMENTS, min_size=1, max_size=3).map(",".join) | st.text(max_size=8))
     def test_grammar(self, text):
         # parses exactly when the text is comma-separated t<N> and i<W>x<H>

@@ -50,10 +50,11 @@ def reference(scheme, segments, config):
 
 
 @pytest.mark.parametrize("scheme", ["hard", "unordered", "spatial", "circle"])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(segments=layouts, config=configs)
 def test_matches_reference(scheme, segments, config):
     seq = assign(scheme, segments, config)
     expected_index, expected_modality = reference(scheme, segments, config)
     assert np.array_equal(seq.indices(), expected_index)
     assert seq.modality.tolist() == expected_modality
+    assert not seq.index.flags.writeable and not seq.modality.flags.writeable

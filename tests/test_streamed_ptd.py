@@ -1,5 +1,8 @@
-"""PTD from the indices: no (T, I) table, every value equal by `==` to the
-unblocked one-liner over the dense table, and each long row filled at most twice."""
+"""The PTD kernel: a `DistanceMatrix` built from index rows keeps no (T, I)
+table. Its table and its PTD equal by `==` a dense one-liner over the whole
+table, in every convention; each long row is filled at most twice; the
+working set is the index columns plus one block; and neither `ptd` nor a
+read of `values` keeps a reference to what it used."""
 
 import gc
 import tracemalloc
@@ -25,7 +28,7 @@ near_blocks = st.builds(lambda cells, t, d: (t, max(1, cells // t + d)),
 long_rows = st.tuples(st.integers(1, 3), st.integers(_BLOCK - 3, 2 * _BLOCK + 9))
 one_column = st.builds(lambda cells, d: (cells + d, 1), st.sampled_from(TARGETS),
                        st.integers(-3, 3))
-small = st.tuples(st.integers(1, 50), st.integers(1, 50))
+small = st.tuples(st.integers(1, 50), st.integers(1, 60))
 shapes = st.one_of(near_blocks, long_rows, one_column, small)
 seeds = st.integers(0, 2**32 - 1)
 
@@ -60,7 +63,7 @@ def sequence(convention, shape, seed, scale):
                            modality=np.array([TEXT] * n_text + [IMAGE] * n_image))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60)
 @given(convention=st.sampled_from(["scalar", "planar", "3d"]), shape=shapes, seed=seeds,
        scale=st.floats(1e-3, 1e6))
 def test_index_built_ptd_equals_unblocked_reference(convention, shape, seed, scale):
@@ -68,7 +71,9 @@ def test_index_built_ptd_equals_unblocked_reference(convention, shape, seed, sca
     matrix = distance_matrix(seq)
     assert matrix.convention == convention
     assert matrix.shape == shape
-    assert ptd(matrix) == reference_ptd(dense_distances(seq, convention))
+    dense = dense_distances(seq, convention)
+    assert matrix.values.tobytes() == dense.tobytes()
+    assert ptd(matrix) == reference_ptd(dense)
 
 
 @pytest.mark.parametrize("layout", ["t2,i256x256", "i200x200,t1,i90x3", "t5,i181x181"])
@@ -76,10 +81,11 @@ def test_index_built_ptd_equals_unblocked_reference(convention, shape, seed, sca
 def test_long_rows_of_real_layouts(layout, scheme):
     seq = assign(scheme, parse_layout(layout), CipConfig())
     matrix = distance_matrix(seq)
-    expected = reference_ptd(dense_distances(seq, matrix.convention))
+    dense = dense_distances(seq, matrix.convention)
+    expected = reference_ptd(dense)
     assert ptd(matrix) == expected
     # reading the table keeps nothing that changes the result
-    assert matrix.values.tobytes() == dense_distances(seq, matrix.convention).tobytes()
+    assert matrix.values.tobytes() == dense.tobytes()
     assert ptd(matrix) == expected
 
 
@@ -99,16 +105,36 @@ def test_each_row_is_filled_at_most_twice(layout, monkeypatch):
     assert max(filled.values()) <= 2
 
 
-def test_ptd_makes_no_table():
-    # 512 text rows x 4096 image columns, circle scheme: the 3d convention
-    seq = assign("circle", parse_layout("i64x64,t512"), CipConfig())
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        ptd(distance_matrix(seq))
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < seq.index.nbytes + MIB
+
+
+def test_working_set_is_one_table_plus_blocks():
+    # 512 text rows x 4096 image columns, circle scheme: the 3d convention
+    seq = assign("circle", parse_layout("i64x64,t512"), CipConfig())
+    matrix, peak = _traced_peak(distance_matrix, seq)
+    assert matrix.shape == (512, 4096)
+    # the matrix keeps index columns only, nothing of size T x I
+    assert peak <= seq.index.nbytes + MIB
+    _, peak = _traced_peak(ptd, matrix)
+    assert peak < MIB
+
+
+def test_ptd_keeps_no_reference_to_the_matrix():
+    matrix = distance_matrix(assign("spatial", parse_layout("i64x64,t32"), CipConfig()))
+    gc.disable()
+    try:
+        ptd(matrix)
+        ref = weakref.ref(matrix)
+        del matrix
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_values_are_built_on_each_read_and_not_kept():
