@@ -1,13 +1,19 @@
+import gc
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from circle_rope import cli
 from circle_rope.cli import main, parse_radius
 from circle_rope.geometry import AutoRadius, FixedRadius
+import workloads
+from test_golden import expected_digest
 
 
 def run_cli(*argv):
@@ -185,7 +191,6 @@ def test_help_lists_format_where_it_takes_effect(capsys, command, listed):
 
 
 def _base_env():
-    import os
     return {k: v for k, v in os.environ.items() if k != "CIRCLE_ROPE_SEED"}
 
 
@@ -209,3 +214,66 @@ def test_closed_stdout_exits_1_quietly():
     proc.stdout.close()
     assert proc.stderr.read() == b""
     assert proc.wait(timeout=60) == 1
+
+
+# Runs circle_rope.cli as __main__, as `python -m` and the console script do,
+# and reports from an exit hook whether the collector is on and the heap frozen.
+PROCESS_CHILD = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("circle_rope.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("case_id", ["readme-ptd", "readme-project", "readme-attn",
+                                     "invalid-bad-segment"])
+def test_process_runs_without_the_collector(case_id):
+    case = next(case for case in workloads.cli_cases() if case["id"] == case_id)
+    proc = subprocess.run([sys.executable, "-c", PROCESS_CHILD, *case["argv"]],
+                          capture_output=True, env={**_base_env(), **case["env"]}, timeout=120)
+    digest = [proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), len(proc.stdout)]
+    assert digest == expected_digest(case_id)
+    assert proc.stderr.decode().splitlines()[-1] == "False True"
+
+
+def _arrays_held(objects):
+    """The ndarrays that `objects` hold, directly or through untracked
+    containers. An ndarray is not tracked by the collector, so gc.garbage
+    never lists one itself."""
+    garbage = {id(obj) for obj in objects}
+    seen, stack, arrays = set(), list(objects), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        else:
+            stack += [ref for ref in gc.get_referents(obj)
+                      if id(ref) in garbage or not gc.is_tracked(ref)]
+    return arrays
+
+
+def test_no_call_leaves_an_array_in_a_cycle():
+    # why run() may keep the collector off: the cycles a call leaves hold no table
+    argvs = [["ptd", "--layout", "i64x64,t256"],
+             ["project", "--layout", "i64x64,t8", "--stage", "fused", "--format", "json"],
+             ["attn", "--layout", "i32x32,t64", "--layers", "8"],
+             ["ptd", "--layout", "i0x3,t5"]]
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in argvs:
+            main(argv, out=io.StringIO())
+        gc.collect()
+        arrays = _arrays_held(gc.garbage)
+        assert not arrays, (f"{len(arrays)} arrays of {sum(a.nbytes for a in arrays)} bytes "
+                            "in reference cycles")
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
