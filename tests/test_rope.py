@@ -111,6 +111,18 @@ class TestLogit:
         k[1] = 1.0
         assert logit(q, np.zeros(3), k, np.zeros(3), self.PARAMS) == 0.0
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_relative_shift_invariance(self, seed):
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal(16)
+        k = rng.standard_normal(16)
+        qi = rng.uniform(-20, 20, size=3)
+        ki = rng.uniform(-20, 20, size=3)
+        c = float(rng.uniform(-100, 100))
+        base = logit(q, qi, k, ki, self.PARAMS)
+        shifted = logit(q, qi + c, k, ki + c, self.PARAMS)
+        assert shifted == pytest.approx(base, abs=1e-6)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_1d_rope_equivalence(self, seed):
         # sections (D/2, 0, 0) with replicated scalar indices reduce to 1D RoPE
