@@ -140,8 +140,7 @@ def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
     elif fmt == "json":
         out.write(json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n")
     else:
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-                  for i, h in enumerate(header)]
+        widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
         out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
         for row in rows:
             out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")

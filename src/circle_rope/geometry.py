@@ -44,7 +44,6 @@ def centralize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (centered points, center). The center is the component-wise
     midpoint of the bounding box, (max + min) / 2.
     """
-    points = np.asarray(points, dtype=float)
     if points.size == 0:
         raise CircleRopeError("empty point set")
     center = 0.5 * (points.max(axis=0) + points.min(axis=0))
@@ -59,7 +58,6 @@ def spatial_origin_angles(centered: np.ndarray) -> np.ndarray:
     everywhere. The point at theta_max wraps to 0 (mod 2*pi) to keep the output
     inside the half-open interval.
     """
-    centered = np.asarray(centered, dtype=float)
     raw = np.arctan2(centered[:, 1], centered[:, 2])
     delta = raw.max() - raw.min()
     if delta <= 0:
@@ -75,8 +73,6 @@ def grid_index_angles(grid: GridSpec) -> np.ndarray:
 
 def mix_angles(sa: np.ndarray, ga: np.ndarray, alpha: float) -> np.ndarray:
     """Weighted average alpha * sa + (1 - alpha) * ga."""
-    sa = np.asarray(sa, dtype=float)
-    ga = np.asarray(ga, dtype=float)
     if sa.shape != ga.shape:
         raise CircleRopeError(f"angle list length mismatch: {sa.shape} vs {ga.shape}")
     return alpha * sa + (1.0 - alpha) * ga
@@ -86,7 +82,6 @@ def compute_radius(centered: np.ndarray, strategy: RadiusStrategy) -> float:
     """Resolve the circle radius for a centered point set."""
     if isinstance(strategy, FixedRadius):
         return strategy.value
-    centered = np.asarray(centered, dtype=float)
     if centered.size == 0:
         raise CircleRopeError("empty point set")
     max_norm = float(np.linalg.norm(centered[:, 1:3], axis=1).max())
@@ -105,7 +100,6 @@ def map_to_circle(angles: np.ndarray, radius: float) -> np.ndarray:
     """
     if not radius > 0:
         raise CircleRopeError(f"radius must be positive, got {radius}")
-    angles = np.asarray(angles, dtype=float)
     out = np.zeros((len(angles), 3))
     out[:, 0] = radius * np.cos(angles)
     out[:, 1] = radius * np.sin(angles)
@@ -132,7 +126,6 @@ def rotate_to_plane(circle_points: np.ndarray) -> np.ndarray:
 
     Each (x, y, 0) working point becomes x*u + y*v in index space.
     """
-    circle_points = np.asarray(circle_points, dtype=float)
     return np.outer(circle_points[:, 0], _U) + np.outer(circle_points[:, 1], _V)
 
 
@@ -152,8 +145,6 @@ def cip_transform(grid: GridSpec, config: CipConfig) -> CipStages:
 
 def dual_frame_fusion(projected: np.ndarray, centered: np.ndarray, beta: float) -> np.ndarray:
     """Blend projected and centered coordinates: beta*projected + (1-beta)*centered."""
-    projected = np.asarray(projected, dtype=float)
-    centered = np.asarray(centered, dtype=float)
     if projected.shape != centered.shape:
         raise CircleRopeError(f"point set shape mismatch: {projected.shape} vs {centered.shape}")
     return beta * projected + (1.0 - beta) * centered

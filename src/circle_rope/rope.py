@@ -49,7 +49,6 @@ class RotaryParams:
 
 def rotation_angles(index: np.ndarray, params: RotaryParams) -> np.ndarray:
     """Rotation angle per dimension pair for (..., 3) indices: (..., head_dim/2)."""
-    index = np.asarray(index, dtype=float)
     axes, freqs = params.frequencies()
     return index[..., axes] * freqs
 
@@ -60,8 +59,6 @@ def apply_rotary(vec: np.ndarray, angles: np.ndarray) -> np.ndarray:
     The output is always a fresh C-contiguous array, also for a broadcast
     `vec`, so a matmul over rotated rows sums in the same order either way.
     """
-    vec = np.asarray(vec, dtype=float)
-    angles = np.asarray(angles, dtype=float)
     if vec.shape[-1] != 2 * angles.shape[-1]:
         raise CircleRopeError(f"vector dim {vec.shape[-1]} != 2 * {angles.shape[-1]} angles")
     cos = np.cos(angles)
@@ -88,8 +85,7 @@ def rotate_key(key: np.ndarray, index: np.ndarray, params: RotaryParams) -> np.n
     and values lays them out; a transposing gather then fills each
     section's even and odd output entries.
     """
-    key = np.asarray(key, dtype=float)
-    index = np.ascontiguousarray(index, dtype=float)
+    index = np.ascontiguousarray(index, dtype=float)  # the int64 view below needs this layout
     if key.shape != (params.head_dim,) or index.ndim != 2 or index.shape[1] != 3:
         raise CircleRopeError(f"need a ({params.head_dim},) key and (N, 3) indices, "
                         f"got {key.shape} and {index.shape}")

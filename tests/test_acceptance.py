@@ -26,6 +26,8 @@ from circle_rope.harness import ScheduleStrategy, make_schedule, run_experiment
 from circle_rope.metrics import DistanceMatrix, distance_matrix, ptd, ptd_of
 from circle_rope.rope import RotaryParams, apply_rotary, logit, rotation_angles
 from circle_rope.schemes import assign, parse_layout
+from test_metrics import brute_force_ptd
+from test_rope import reference_1d_rope
 import workloads
 
 
@@ -130,12 +132,7 @@ def test_criterion_5_ptd_oracle_equivalence():
         text = rng.uniform(0, 100, size=(n_text, 3))
         image = rng.uniform(0, 100, size=(n_image, 3))
         production = ptd(DistanceMatrix(text, image))
-        values = np.linalg.norm(text[:, None, :] - image[None, :, :], axis=2)
-        total = 0.0
-        for t in range(n_text):
-            row_mean = sum(values[t]) / n_image
-            total += sum(abs(values[t][i] - row_mean) for i in range(n_image))
-        brute = total / (n_text * n_image)
+        brute = brute_force_ptd(np.linalg.norm(text[:, None, :] - image[None, :, :], axis=2))
         worst = max(worst, abs(production - brute))
     report(5, worst <= 1e-12, f"(50 random index sets, max |diff| {worst:.2e})")
 
@@ -158,14 +155,11 @@ def test_criterion_6_rotary_properties():
         )
     params_1d = RotaryParams(head_dim=16, sections=(8, 0, 0))
     worst_1d = 0.0
-    freqs = 10000.0 ** (-2.0 * np.arange(8) / 16)
     for _ in range(100):
         q = rng.standard_normal(16)
         k = rng.standard_normal(16)
         s_q, s_k = rng.uniform(-30, 30, size=2)
-        zq = (q[0::2] + 1j * q[1::2]) * np.exp(1j * s_q * freqs)
-        zk = (k[0::2] + 1j * k[1::2]) * np.exp(1j * s_k * freqs)
-        reference = float(np.real(np.sum(zq * np.conj(zk))))
+        reference = float(reference_1d_rope(q, s_q, 16) @ reference_1d_rope(k, s_k, 16))
         ours = logit(q, np.full(3, s_q), k, np.full(3, s_k), params_1d)
         worst_1d = max(worst_1d, abs(ours - reference))
     ok = worst_norm <= 1e-9 and worst_shift <= 1e-6 and worst_1d <= 1e-9

@@ -92,6 +92,14 @@ def test_layout_stage_or_config_key_exits_2_with_one_line_naming_the_file(capsys
     assert stderr == f"error: unknown config key {key!r} in {cfg}\n"
 
 
+def test_blank_lines_comments_and_a_quoted_value_read_as_the_flag(capsys, tmp_path):
+    argv = [*PTD, "--schemes", "circle"]
+    cfg = config(tmp_path, '\n# settings\n    # indented comment\nalpha = "0.3"\n')
+    expected = run(capsys, *argv, "--alpha", "0.3")
+    assert expected[0] == 0 and expected[1] != run(capsys, *argv)[1]
+    assert run(capsys, *argv, "--config", cfg) == expected
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_config_file_that_is_not_utf8_exits_2_with_one_line_naming_the_file(capsys, tmp_path,
                                                                              command):

@@ -37,7 +37,7 @@ class TestGridCoords:
 
     def test_3x3_covers_grid(self):
         pts = grid_coords(GridSpec(3, 3))
-        assert pts.shape == (9, 3)
+        assert pts.shape == (9, 3) and pts.dtype == np.float64
         assert set(map(tuple, pts[:, 1:])) == {(j, i) for j in range(3) for i in range(3)}
         assert np.all(pts[:, 0] == 0)
 

@@ -58,3 +58,5 @@ def test_matches_reference(scheme, segments, config):
     assert np.array_equal(seq.indices(), expected_index)
     assert seq.modality.tolist() == expected_modality
     assert not seq.index.flags.writeable and not seq.modality.flags.writeable
+    # the geometry and rope stages take this representation as it is
+    assert seq.index.dtype == np.float64 and seq.index.flags.c_contiguous
