@@ -19,8 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 # re-exported, so that geometry.CipConfig and the like keep resolving
-from .spec import STAGE_NAMES, AutoRadius, CipConfig, CircleRopeError, FixedRadius, GridSpec, \
-    RadiusStrategy
+from .spec import STAGE_NAMES, AutoRadius, CipConfig, CircleRopeError, FixedRadius, GridSpec
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,7 +77,7 @@ def mix_angles(sa: np.ndarray, ga: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * sa + (1.0 - alpha) * ga
 
 
-def compute_radius(centered: np.ndarray, strategy: RadiusStrategy) -> float:
+def compute_radius(centered: np.ndarray, strategy: FixedRadius | AutoRadius) -> float:
     """Resolve the circle radius for a centered point set."""
     if isinstance(strategy, FixedRadius):
         return strategy.value

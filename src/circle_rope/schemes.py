@@ -31,13 +31,8 @@ class IndexedSequence:
     index: np.ndarray
     modality: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def indices(self, modality: str | None = None) -> np.ndarray:
-        """(N, 3) index array, optionally filtered by modality."""
-        if modality is None:
-            return self.index
+    def indices(self, modality: str) -> np.ndarray:
+        """The rows of `index` whose token has `modality`, in sequence order."""
         return self.index[self.modality == modality]
 
 

@@ -8,7 +8,6 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 
 class CircleRopeError(ValueError):
@@ -61,9 +60,6 @@ class AutoRadius:
             raise CircleRopeError(f"auto radius factor must be positive and finite, got {self.k}")
 
 
-RadiusStrategy = Union[FixedRadius, AutoRadius]
-
-
 @dataclass(frozen=True)
 class CipConfig:
     """Parameters of the circular projection.
@@ -74,7 +70,7 @@ class CipConfig:
     """
 
     alpha: float = 0.5
-    radius: RadiusStrategy = FixedRadius(10.0)
+    radius: FixedRadius | AutoRadius = FixedRadius(10.0)
     beta: float = 0.1
 
     def __post_init__(self) -> None:
@@ -103,7 +99,7 @@ class TextSegment:
 
 
 # A layout is a list of text runs and image grids.
-Segment = Union[TextSegment, GridSpec]
+Segment = TextSegment | GridSpec
 
 SCHEME_NAMES = ("hard", "unordered", "spatial", "circle")
 

@@ -5,6 +5,9 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
+from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +237,12 @@ def test_process_runs_without_the_collector(case_id):
     digest = [proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), len(proc.stdout)]
     assert digest == expected_digest(case_id)
     assert proc.stderr.decode().splitlines()[-1] == "False True"
+
+
+def test_console_script_is_the_process_entry_point():
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, _, attr = pyproject["project"]["scripts"]["circle-rope"].partition(":")
+    assert getattr(import_module(module), attr) is cli.run
 
 
 def _arrays_held(objects):

@@ -87,61 +87,61 @@ class TestParseLayout:
 class TestAssignHard:
     def test_image_then_text(self):
         seq = assign_hard([img(3, 3), TextSegment(5)])
-        scalars = seq.indices()[:, 0].tolist()
+        scalars = seq.index[:, 0].tolist()
         assert scalars == list(range(14))
         assert seq.modality[:9].tolist() == [IMAGE] * 9
         assert seq.modality[9:].tolist() == [TEXT] * 5
 
     def test_text_only(self):
         seq = assign_hard([TextSegment(2)])
-        assert seq.indices().tolist() == [[0, 0, 0], [1, 1, 1]]
+        assert seq.index.tolist() == [[0, 0, 0], [1, 1, 1]]
 
     def test_sandwich(self):
         seq = assign_hard([TextSegment(1), img(2, 2), TextSegment(1)])
-        assert seq.indices()[:, 0].tolist() == [0, 1, 2, 3, 4, 5]
+        assert seq.index[:, 0].tolist() == [0, 1, 2, 3, 4, 5]
 
 
 class TestAssignUnordered:
     def test_image_then_text(self):
         seq = assign_unordered([img(3, 3), TextSegment(5)])
-        assert seq.indices()[:, 0].tolist() == [0] * 9 + [1, 2, 3, 4, 5]
+        assert seq.index[:, 0].tolist() == [0] * 9 + [1, 2, 3, 4, 5]
 
     def test_text_then_image(self):
         seq = assign_unordered([TextSegment(1), img(2, 2)])
-        assert seq.indices()[:, 0].tolist() == [0, 1, 1, 1, 1]
+        assert seq.index[:, 0].tolist() == [0, 1, 1, 1, 1]
 
     def test_two_images(self):
         seq = assign_unordered([img(2, 2), img(2, 2)])
-        assert seq.indices()[:, 0].tolist() == [0] * 4 + [1] * 4
+        assert seq.index[:, 0].tolist() == [0] * 4 + [1] * 4
 
 
 class TestAssignSpatial:
     def test_image_then_text(self):
         seq = assign_spatial([img(3, 3), TextSegment(5)])
-        image_idx = seq.indices()[:9].tolist()
+        image_idx = seq.index[:9].tolist()
         assert image_idx == [[0, j, i] for j in range(3) for i in range(3)]
-        text_idx = seq.indices()[9:].tolist()
+        text_idx = seq.index[9:].tolist()
         assert text_idx == [[t, t, t] for t in range(3, 8)]
 
     def test_text_then_image(self):
         seq = assign_spatial([TextSegment(2), img(2, 2)])
-        assert seq.indices()[0].tolist() == [0, 0, 0]
-        assert seq.indices()[1].tolist() == [1, 1, 1]
-        image_idx = seq.indices()[2:].tolist()
+        assert seq.index[0].tolist() == [0, 0, 0]
+        assert seq.index[1].tolist() == [1, 1, 1]
+        image_idx = seq.index[2:].tolist()
         assert image_idx == [[2, 2 + j, 2 + i] for j in range(2) for i in range(2)]
 
     def test_counter_after_image(self):
         seq = assign_spatial([TextSegment(2), img(2, 2), TextSegment(1)])
-        assert seq.indices()[-1].tolist() == [4, 4, 4]
+        assert seq.index[-1].tolist() == [4, 4, 4]
 
     def test_single_pixel_image(self):
         seq = assign_spatial([img(1, 1)])
-        assert seq.indices()[0].tolist() == [0, 0, 0]
+        assert seq.index[0].tolist() == [0, 0, 0]
 
     def test_integer_indices(self):
         for builder in (assign_hard, assign_unordered, assign_spatial):
             seq = builder([TextSegment(3), img(4, 2), TextSegment(1)])
-            idx = seq.indices()
+            idx = seq.index
             assert np.all(idx == np.round(idx))
 
 
@@ -179,7 +179,7 @@ class TestAssignCircle:
     def test_counter_advances_like_spatial(self):
         config = CipConfig(radius=FixedRadius(10.0), beta=1.0)
         seq = assign_circle([img(3, 3), TextSegment(1)], config)
-        assert seq.indices()[-1].tolist() == [3, 3, 3]
+        assert seq.index[-1].tolist() == [3, 3, 3]
 
 
 class TestSchemeProperties:
@@ -187,12 +187,12 @@ class TestSchemeProperties:
     def test_token_count_preserved(self, scheme):
         segments = [TextSegment(3), img(4, 2), TextSegment(2), img(2, 2)]
         seq = assign(scheme, segments, CipConfig(radius=FixedRadius(10.0), beta=1.0))
-        assert len(seq) == 3 + 8 + 2 + 4
+        assert len(seq.index) == 3 + 8 + 2 + 4
 
     def test_circle_indices_finite(self):
         config = CipConfig(alpha=0.3, radius=FixedRadius(7.0), beta=0.4)
         seq = assign_circle([TextSegment(2), img(5, 4)], config)
-        assert np.all(np.isfinite(seq.indices()))
+        assert np.all(np.isfinite(seq.index))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_single_image_ptd_zero(self, seed):

@@ -55,7 +55,7 @@ def reference(scheme, segments, config):
 def test_matches_reference(scheme, segments, config):
     seq = assign(scheme, segments, config)
     expected_index, expected_modality = reference(scheme, segments, config)
-    assert np.array_equal(seq.indices(), expected_index)
+    assert np.array_equal(seq.index, expected_index)
     assert seq.modality.tolist() == expected_modality
     assert not seq.index.flags.writeable and not seq.modality.flags.writeable
     # the geometry and rope stages take this representation as it is
