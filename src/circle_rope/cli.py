@@ -187,7 +187,7 @@ def cmd_attn(args: argparse.Namespace, out) -> int:
     params = RotaryParams(head_dim=head_dim, sections=args.sections)
     schedule = make_schedule(layers, ScheduleStrategy(args.schedule))
     report = run_experiment(segments, config, schedule, params, seed=seed, schemes=args.schemes)
-    out.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+    out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -11,7 +11,6 @@ depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,25 +20,12 @@ from .schemes import IMAGE, TEXT, IndexedSequence, assign
 from .spec import SCHEME_NAMES, CipConfig, CircleRopeError, ScheduleStrategy, Segment, token_counts
 
 
-@dataclass(frozen=True)
-class LayerSchedule:
+class LayerSchedule(tuple):
     """Per layer, from layer 1 up: True if the circle scheme uses its circle
-    indices there, False if it uses the spatial ones."""
+    indices there, False if it uses the spatial ones. `num_layers` is the
+    length, kept for the benchmark's tracer."""
 
-    circle: tuple[bool, ...]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.circle)
-
-
-# Whether `layer` uses circle indices, given the split ceil(n/2) of n layers.
-_RULES = {
-    ScheduleStrategy.ALL_CIRCLE: lambda layer, split: True,
-    ScheduleStrategy.UPPER_HALF_CIRCLE: lambda layer, split: layer > split,
-    ScheduleStrategy.LOWER_HALF_CIRCLE: lambda layer, split: layer <= split,
-    ScheduleStrategy.ALTERNATING: lambda layer, split: layer % 2 == 0,
-}
+    num_layers = property(len)
 
 
 def make_schedule(num_layers: int, strategy: ScheduleStrategy) -> LayerSchedule:
@@ -51,27 +37,26 @@ def make_schedule(num_layers: int, strategy: ScheduleStrategy) -> LayerSchedule:
     if not isinstance(strategy, ScheduleStrategy):
         raise CircleRopeError(f"unknown strategy {strategy!r}")
     split = math.ceil(num_layers / 2)
-    return LayerSchedule(tuple(_RULES[strategy](layer, split)
-                               for layer in range(1, num_layers + 1)))
+    rule = {
+        ScheduleStrategy.ALL_CIRCLE: lambda layer: True,
+        ScheduleStrategy.UPPER_HALF_CIRCLE: lambda layer: layer > split,
+        ScheduleStrategy.LOWER_HALF_CIRCLE: lambda layer: layer <= split,
+        ScheduleStrategy.ALTERNATING: lambda layer: layer % 2 == 0,
+    }[strategy]
+    return LayerSchedule(rule(layer) for layer in range(1, num_layers + 1))
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    """scheme -> layer (from 1) -> {mean, std, spread, ptd} of that layer:
-    the overall mean and std of the text-to-image logits, the largest
+class ExperimentReport(dict):
+    """scheme -> layer string (from "1") -> {mean, std, spread, ptd} of that
+    layer: the overall mean and std of the text-to-image logits, the largest
     per-query spread (max - min over image keys), and the PTD of the active
-    index assignment. Layers on the same assignment share one dict."""
+    index assignment. Layers on the same assignment share one stats dict, and
+    the schemes share one key string per layer, which keeps the memory of a
+    caller that holds many reports (the benchmark keeps each one) in check."""
 
-    stats: dict[str, dict[int, dict[str, float]]]
-
-    def as_dict(self) -> dict:
-        """scheme -> layer string -> the shared stats dicts themselves, so
-        mutating one mutates every layer that holds it. The schemes share
-        one key string per layer as well, which keeps the memory of a caller
-        that holds many reports (the benchmark keeps each one) in check."""
-        names = {layer: str(layer) for layers in self.stats.values() for layer in layers}
-        return {scheme: {names[layer]: s for layer, s in layers.items()}
-                for scheme, layers in self.stats.items()}
+    def as_dict(self) -> ExperimentReport:
+        """The report itself, kept for the benchmark's worker."""
+        return self
 
 
 def _mean_std(table: np.ndarray) -> tuple[float, float]:
@@ -119,13 +104,14 @@ def run_experiment(
     # Circle's other layers run on the spatial indices, so they share
     # the spatial scheme's stats: the cache is keyed by index assignment.
     cache: dict[str, dict[str, float]] = {}
-    stats: dict[str, dict[int, dict[str, float]]] = {}
+    names = [str(layer) for layer in range(1, len(schedule) + 1)]
+    report = ExperimentReport()
     for scheme in schemes:
-        stats[scheme] = {}
-        for layer, circle in enumerate(schedule.circle, 1):
+        report[scheme] = layers = {}
+        for name, circle in zip(names, schedule):
             active = "spatial" if scheme == "circle" and not circle else scheme
             if active not in cache:
                 cache[active] = _layer_stats(assign(active, segments, config), queries, key,
                                              params)
-            stats[scheme][layer] = cache[active]
-    return ExperimentReport(stats)
+            layers[name] = cache[active]
+    return report

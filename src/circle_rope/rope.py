@@ -99,8 +99,6 @@ def rotate_key(key: np.ndarray, index: np.ndarray, params: RotaryParams) -> np.n
     pairs = out.reshape(len(index), params.head_dim // 2, 2)
     for axis in range(3):
         lo, hi = bounds[axis], bounds[axis + 1]
-        if lo == hi:
-            continue
         column, ladder = (0, widest) if replicated else (axis, axis)
         if column not in tables:
             distinct, inverse = np.unique(bits[:, column], return_inverse=True)

@@ -174,7 +174,7 @@ def test_criterion_7_unordered_zero_spread():
     for strategy in ScheduleStrategy:
         schedule = make_schedule(6, strategy)
         rep = run_experiment(segments, config, schedule, params, seed=7, schemes=("unordered",))
-        for stats in rep.stats["unordered"].values():
+        for stats in rep["unordered"].values():
             worst = max(worst, stats["spread"])
     report(7, worst <= 1e-9, f"(max spread over schedules/layers {worst:.2e})")
 
@@ -183,11 +183,11 @@ def test_criterion_8_age_schedule_conformance():
     ok = True
     for n in range(1, 65):
         schedule = make_schedule(n, ScheduleStrategy.ALTERNATING)
-        ok = ok and schedule.circle == tuple(layer % 2 == 0 for layer in range(1, n + 1))
+        ok = ok and schedule == tuple(layer % 2 == 0 for layer in range(1, n + 1))
     upper = make_schedule(36, ScheduleStrategy.UPPER_HALF_CIRCLE)
     lower = make_schedule(36, ScheduleStrategy.LOWER_HALF_CIRCLE)
-    ok = ok and upper.circle == (False,) * 18 + (True,) * 18
-    ok = ok and lower.circle == (True,) * 18 + (False,) * 18
+    ok = ok and upper == (False,) * 18 + (True,) * 18
+    ok = ok and lower == (True,) * 18 + (False,) * 18
     report(8, ok, "(alternating 1..64, 18/18 split at 36 layers)")
 
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from circle_rope.geometry import CipConfig, FixedRadius, GridSpec
+from circle_rope.geometry import CipConfig, GridSpec
 from circle_rope.harness import (
     ExperimentReport,
     ScheduleStrategy,
@@ -17,22 +17,18 @@ from circle_rope.harness import (
 )
 from circle_rope.metrics import ptd_of
 from circle_rope.rope import RotaryParams, apply_rotary, rotation_angles
-from circle_rope.schemes import IMAGE, TEXT, TextSegment, assign
+from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, TextSegment, assign
+from test_segment_walk import configs
 
 ROTARY = [RotaryParams(8, sections=(2, 1, 1)), RotaryParams(12, sections=(0, 3, 3)),
           RotaryParams(16, sections=(4, 2, 2)), RotaryParams(64, sections=(16, 8, 8)),
           RotaryParams(128, sections=(16, 24, 24))]
-SCHEMES = ("hard", "unordered", "spatial", "circle")
 
 seeds = st.integers(0, 2**32 - 1)
 text_run = st.integers(1, 10).map(TextSegment)
 image = st.builds(GridSpec, st.integers(1, 6), st.integers(1, 6))
 layouts = st.tuples(text_run, image, st.lists(st.one_of(text_run, image), max_size=3)).flatmap(
     lambda t: st.permutations([t[0], t[1], *t[2]]))
-configs = st.builds(
-    lambda alpha, radius, beta: CipConfig(alpha=alpha, radius=FixedRadius(radius), beta=beta),
-    st.floats(0, 1), st.floats(0.5, 20), st.floats(0, 1),
-)
 
 
 @settings(max_examples=60)
@@ -78,12 +74,12 @@ def _reference_report(segments, config, schedule, params, seed, schemes):
     stats = {}
     for scheme, seq in sequences.items():
         cache, per_layer = {}, {}
-        for layer in range(1, schedule.num_layers + 1):
-            original = scheme == "circle" and not schedule.circle[layer - 1]
+        for layer in range(1, len(schedule) + 1):
+            original = scheme == "circle" and not schedule[layer - 1]
             if original not in cache:
                 cache[original] = _reference_layer_stats(spatial if original else seq,
                                                          queries, key, params)
-            per_layer[layer] = cache[original]
+            per_layer[str(layer)] = cache[original]
         stats[scheme] = per_layer
     return ExperimentReport(stats)
 
@@ -91,7 +87,7 @@ def _reference_report(segments, config, schedule, params, seed, schemes):
 @settings(max_examples=40)
 @given(segments=layouts, config=configs, params=st.sampled_from(ROTARY),
        strategy=st.sampled_from(list(ScheduleStrategy)), layers=st.integers(1, 6),
-       seed=seeds, schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=4,
+       seed=seeds, schemes=st.lists(st.sampled_from(SCHEME_NAMES), min_size=1, max_size=4,
                                     unique=True).map(tuple))
 def test_report_matches_per_token_reference(segments, config, params, strategy, layers, seed,
                                             schemes):

@@ -16,24 +16,24 @@ PARAMS = RotaryParams(head_dim=8, sections=(2, 1, 1))
 class TestMakeSchedule:
     def test_upper_half_at_36(self):
         schedule = make_schedule(36, ScheduleStrategy.UPPER_HALF_CIRCLE)
-        assert schedule.circle == (False,) * 18 + (True,) * 18
+        assert schedule == (False,) * 18 + (True,) * 18
 
     def test_lower_half_at_36(self):
         schedule = make_schedule(36, ScheduleStrategy.LOWER_HALF_CIRCLE)
-        assert schedule.circle == (True,) * 18 + (False,) * 18
+        assert schedule == (True,) * 18 + (False,) * 18
 
     def test_alternating_4(self):
         schedule = make_schedule(4, ScheduleStrategy.ALTERNATING)
-        assert schedule.circle == (False, True, False, True)
+        assert schedule == (False, True, False, True)
 
     def test_all_circle_single_layer(self):
-        assert make_schedule(1, ScheduleStrategy.ALL_CIRCLE).circle == (True,)
+        assert make_schedule(1, ScheduleStrategy.ALL_CIRCLE) == (True,)
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_alternating_parity(self, n):
         schedule = make_schedule(n, ScheduleStrategy.ALTERNATING)
         assert schedule.num_layers == n
-        assert schedule.circle == tuple(layer % 2 == 0 for layer in range(1, n + 1))
+        assert schedule == tuple(layer % 2 == 0 for layer in range(1, n + 1))
 
     @pytest.mark.parametrize("strategy", list(ScheduleStrategy))
     def test_matches_the_benchmark_rule(self, strategy):
@@ -41,7 +41,7 @@ class TestMakeSchedule:
         # counts pin where upper and lower split
         for n in range(1, 65):
             expected = [v == "circle" for v in W.schedule_variants(n, strategy.value)]
-            assert list(make_schedule(n, strategy).circle) == expected, n
+            assert list(make_schedule(n, strategy)) == expected, n
 
     def test_invalid_layers(self):
         with pytest.raises(CircleRopeError, match="num_layers must be >= 1, got 0"):
@@ -60,14 +60,14 @@ class TestRunExperiment:
         schedule = make_schedule(3, ScheduleStrategy.ALTERNATING)
         report = run_experiment(segments, CONFIG, schedule, PARAMS, seed=7,
                                 schemes=("unordered",))
-        for stats in report.stats["unordered"].values():
+        for stats in report["unordered"].values():
             assert stats["spread"] < 1e-9
 
     def test_hard_positive_spread(self):
         segments = parse_layout("i3x3,t5")
         schedule = make_schedule(1, ScheduleStrategy.ALL_CIRCLE)
         report = run_experiment(segments, CONFIG, schedule, PARAMS, seed=7, schemes=("hard",))
-        assert report.stats["hard"][1]["spread"] > 1e-6
+        assert report["hard"]["1"]["spread"] > 1e-6
 
     def test_deterministic(self):
         segments = parse_layout("t2,i2x3,t4")
@@ -83,15 +83,15 @@ class TestRunExperiment:
         r_all = run_experiment(segments, CONFIG, all_circle, PARAMS, seed=3, schemes=("circle",))
         r_alt = run_experiment(segments, CONFIG, alternating, PARAMS, seed=3, schemes=("circle",))
         # alternating layer 1 uses the original (spatial) indices
-        assert r_all.stats["circle"][1] != r_alt.stats["circle"][1]
+        assert r_all["circle"]["1"] != r_alt["circle"]["1"]
 
     def test_circle_original_layers_match_spatial(self):
         segments = parse_layout("i3x3,t5")
         schedule = make_schedule(2, ScheduleStrategy.ALTERNATING)
         report = run_experiment(segments, CONFIG, schedule, PARAMS, seed=5,
                                 schemes=("spatial", "circle"))
-        assert report.stats["circle"][1] == report.stats["spatial"][1]
-        assert report.stats["circle"][2] != report.stats["spatial"][2]
+        assert report["circle"]["1"] == report["spatial"]["1"]
+        assert report["circle"]["2"] != report["spatial"]["2"]
 
     def test_missing_modality_rejected(self):
         schedule = make_schedule(1, ScheduleStrategy.ALL_CIRCLE)
@@ -110,3 +110,15 @@ class TestRunExperiment:
             for stats in layers.values():
                 assert set(stats) == {"mean", "std", "spread", "ptd"}
                 assert stats["spread"] >= 0
+
+
+def test_benchmark_aliases_are_the_data_itself():
+    # the benchmark reads `num_layers` and `as_dict()`; a schedule is the
+    # tuple of per-layer flags and a report is the dict it prints
+    segments = parse_layout("i2x2,t3")
+    for strategy in ScheduleStrategy:
+        schedule = make_schedule(5, strategy)
+        assert schedule == tuple(v == "circle" for v in W.schedule_variants(5, strategy.value))
+        assert schedule.num_layers == len(schedule)
+        report = run_experiment(segments, CONFIG, schedule, PARAMS, seed=1)
+        assert isinstance(report, dict) and report.as_dict() is report

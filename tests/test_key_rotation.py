@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circle_rope.geometry import CipConfig, FixedRadius, GridSpec
+from circle_rope.geometry import GridSpec
 from circle_rope.rope import RotaryParams, apply_rotary, logit, rotate_key, \
     rotation_angles
 from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, TextSegment, assign
 from circle_rope.spec import CircleRopeError
+from test_segment_walk import configs
 
 
 def reference(key, index, params):
@@ -69,10 +70,6 @@ text_run = st.integers(1, 8).map(TextSegment)
 image = st.builds(GridSpec, st.integers(1, 9), st.integers(1, 9))
 layouts = st.tuples(image, st.lists(st.one_of(text_run, image), max_size=4)).flatmap(
     lambda t: st.permutations([t[0], *t[1]]))
-configs = st.builds(
-    lambda alpha, radius, beta: CipConfig(alpha=alpha, radius=FixedRadius(radius), beta=beta),
-    st.floats(0, 1), st.floats(0.5, 20), st.floats(0, 1),
-)
 
 
 @settings(max_examples=80)
