@@ -125,13 +125,6 @@ def _inputs(args: argparse.Namespace, pairs: bool = True) -> tuple[list[Segment]
     return segments, CipConfig(args.alpha, args.radius, args.beta)
 
 
-def _bounded(args: argparse.Namespace, name: str, limit: int) -> int:
-    value = getattr(args, name)
-    if value > limit:
-        raise UsageError(f"{name.replace('_', '-')} {value} is over the limit of {limit}")
-    return value
-
-
 def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
     if fmt == "csv":
         out.write(",".join(header) + "\n")
@@ -174,12 +167,15 @@ def cmd_project(args: argparse.Namespace, out) -> int:
 
 def cmd_attn(args: argparse.Namespace, out) -> int:
     segments, config = _inputs(args)
-    head_dim = _bounded(args, "head_dim", MAX_HEAD_DIM)
+    head_dim, layers = args.head_dim, args.layers
+    if head_dim > MAX_HEAD_DIM:
+        raise UsageError(f"head-dim {head_dim} is over the limit of {MAX_HEAD_DIM}")
     tokens = sum(token_counts(segments))
     if tokens * head_dim > MAX_TOKEN_DIMS:
         raise UsageError(f"layout has {tokens} tokens x head-dim {head_dim} = "
                          f"{tokens * head_dim}, over the limit of {MAX_TOKEN_DIMS}")
-    layers = _bounded(args, "layers", MAX_LAYERS)
+    if layers > MAX_LAYERS:
+        raise UsageError(f"layers {layers} is over the limit of {MAX_LAYERS}")
     seed = parse_seed(os.environ.get("CIRCLE_ROPE_SEED") or "0") if args.seed is None else args.seed
     # rope and harness check head-dim parity, sections, layers and text
     from .harness import make_schedule, run_experiment

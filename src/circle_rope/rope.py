@@ -79,8 +79,8 @@ def rotate_key(key: np.ndarray, index: np.ndarray, params: RotaryParams) -> np.n
     computes each angle, its cos/sin and the rotated key pair once per
     distinct (axis value, frequency): axis values are told apart by bit
     pattern, so -0.0 and 0.0 stay apart. When the three index columns are
-    equal, one table over the widest section's ladder serves every section,
-    as a rank's frequency is the same in each. Tables are frequency-major,
+    equal, axis 0's table, built over the largest section's ladder, serves
+    every section, as a rank's frequency is the same in each. Tables are frequency-major,
     (section width, distinct values), as the outer product of frequencies
     and values lays them out; a transposing gather then fills each
     section's even and odd output entries.
@@ -93,19 +93,16 @@ def rotate_key(key: np.ndarray, index: np.ndarray, params: RotaryParams) -> np.n
     _, freqs = params.frequencies()
     bounds = np.cumsum((0, *params.sections))
     replicated = bool(np.all(bits[:, 1:] == bits[:, :1]))
-    widest = int(np.argmax(params.sections))
-    tables = {}
     out = np.empty((len(index), params.head_dim))
     pairs = out.reshape(len(index), params.head_dim // 2, 2)
     for axis in range(3):
         lo, hi = bounds[axis], bounds[axis + 1]
-        column, ladder = (0, widest) if replicated else (axis, axis)
-        if column not in tables:
-            distinct, inverse = np.unique(bits[:, column], return_inverse=True)
+        if axis == 0 or not replicated:
+            ladder = np.argmax(params.sections) if replicated else axis
+            distinct, inverse = np.unique(bits[:, axis], return_inverse=True)
             angles = freqs[bounds[ladder]:bounds[ladder + 1], None] * distinct.view(float)
-            tables[column] = inverse, np.cos(angles), np.sin(angles)
-        inverse, cos, sin = tables[column]
-        cos, sin = cos[:hi - lo], sin[:hi - lo]
+            table_cos, table_sin = np.cos(angles), np.sin(angles)
+        cos, sin = table_cos[:hi - lo], table_sin[:hi - lo]
         even = key[2 * lo:2 * hi:2, None]
         odd = key[2 * lo + 1:2 * hi:2, None]
         pairs[:, lo:hi, 0] = (even * cos - odd * sin).T[inverse]

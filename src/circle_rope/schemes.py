@@ -14,9 +14,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import cip_transform, grid_coords
-# re-exported, so that schemes.parse_layout and the like keep resolving
-from .spec import SCHEME_NAMES, CipConfig, CircleRopeError, GridSpec, Segment, TextSegment, \
-    parse_layout
+# parse_layout is re-exported: the benchmark resolves schemes.parse_layout
+from .spec import CipConfig, CircleRopeError, GridSpec, Segment, TextSegment, parse_layout
 
 
 TEXT = "text"

@@ -17,7 +17,8 @@ from circle_rope.harness import (
 )
 from circle_rope.metrics import ptd_of
 from circle_rope.rope import RotaryParams, apply_rotary, rotation_angles
-from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, TextSegment, assign
+from circle_rope.schemes import IMAGE, TEXT, TextSegment, assign
+from circle_rope.spec import SCHEME_NAMES
 from test_segment_walk import configs
 
 ROTARY = [RotaryParams(8, sections=(2, 1, 1)), RotaryParams(12, sections=(0, 3, 3)),

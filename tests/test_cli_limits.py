@@ -19,30 +19,32 @@ def run_cli(capsys, *argv):
     return code, out.getvalue(), capsys.readouterr().err
 
 
-def assert_refused(capsys, *argv):
+def assert_refused(capsys, message, *argv):
     code, stdout, stderr = run_cli(capsys, *argv)
-    assert (code, stdout) == (2, "")
-    assert len(stderr.splitlines()) == 1 and "over the limit" in stderr, stderr
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
 
 class TestLimits:
     def test_tokens(self, capsys):
-        assert_refused(capsys, "project", "--layout", f"i{MAX_TOKENS}x1,t1", "--stage", "fused")
+        assert_refused(capsys, "layout has 262145 tokens, over the limit of 262144",
+                       "project", "--layout", f"i{MAX_TOKENS}x1,t1", "--stage", "fused")
 
     def test_cells(self, capsys):
         # 512 text tokens give the smallest pair count above the limit
         # that stays within the token limit
         image = MAX_CELLS // 512 + 1
         assert 512 * image > MAX_CELLS and 512 + image <= MAX_TOKENS
-        assert_refused(capsys, "ptd", "--layout", f"t512,i{image}x1")
-        assert_refused(capsys, "attn", "--layout", f"t512,i{image}x1")
+        message = "layout has 512 x 131073 = 67109376 text-image pairs, over the limit of 67108864"
+        assert_refused(capsys, message, "ptd", "--layout", f"t512,i{image}x1")
+        assert_refused(capsys, message, "attn", "--layout", f"t512,i{image}x1")
 
     def test_layers(self, capsys):
-        assert_refused(capsys, "attn", "--layout", "i3x3,t5", "--layers", str(MAX_LAYERS + 1))
+        assert_refused(capsys, "layers 1025 is over the limit of 1024",
+                       "attn", "--layout", "i3x3,t5", "--layers", str(MAX_LAYERS + 1))
 
     def test_head_dim(self, capsys):
-        assert_refused(capsys, "attn", "--layout", "i3x3,t5", "--head-dim",
-                       str(MAX_HEAD_DIM + 1))
+        assert_refused(capsys, "head-dim 513 is over the limit of 512",
+                       "attn", "--layout", "i3x3,t5", "--head-dim", str(MAX_HEAD_DIM + 1))
 
     def test_tokens_times_head_dim(self, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -51,16 +53,19 @@ class TestLimits:
         monkeypatch.setattr(harness, "run_experiment", unreachable)
         # one token more than the limit allows at the largest head_dim
         assert MAX_TOKEN_DIMS // MAX_HEAD_DIM == 32768
-        assert_refused(capsys, "attn", "--layout", "t32768,i1x1", "--head-dim",
-                       str(MAX_HEAD_DIM))
+        assert_refused(capsys, "layout has 32769 tokens x head-dim 512 = 16777728, "
+                       "over the limit of 16777216",
+                       "attn", "--layout", "t32768,i1x1", "--head-dim", str(MAX_HEAD_DIM))
 
     def test_limits_read_from_a_config_file(self, capsys, tmp_path):
         config = tmp_path / "c.cfg"
         config.write_text(f"layers = {MAX_LAYERS + 1}\n")
-        assert_refused(capsys, "attn", "--layout", "i3x3,t5", "--config", str(config))
+        assert_refused(capsys, "layers 1025 is over the limit of 1024",
+                       "attn", "--layout", "i3x3,t5", "--config", str(config))
 
     def test_huge_grid_is_refused_before_allocation(self, capsys):
-        assert_refused(capsys, "ptd", "--layout", "i3000000000x3000000000,t5")
+        assert_refused(capsys, "layout has 9000000000000000005 tokens, over the limit of 262144",
+                       "ptd", "--layout", "i3000000000x3000000000,t5")
 
     def test_layers_and_head_dim_at_the_limit_run(self, capsys):
         code, stdout, _ = run_cli(capsys, "attn", "--layout", "i2x2,t2", "--layers",

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from circle_rope.geometry import GridSpec
 from circle_rope.rope import RotaryParams, apply_rotary, logit, rotate_key, \
     rotation_angles
-from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, TextSegment, assign
-from circle_rope.spec import CircleRopeError
+from circle_rope.schemes import IMAGE, TEXT, TextSegment, assign
+from circle_rope.spec import SCHEME_NAMES, CircleRopeError
 from test_segment_walk import configs
 
 

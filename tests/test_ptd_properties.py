@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from circle_rope import cli
 from circle_rope.geometry import AutoRadius, CipConfig, FixedRadius, GridSpec
-from circle_rope.metrics import distance_matrix, ptd
-from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, IndexedSequence, \
-    TextSegment, assign, parse_layout
+from circle_rope.metrics import DistanceMatrix, distance_matrix, ptd
+from circle_rope.schemes import IMAGE, TEXT, IndexedSequence, TextSegment, assign, parse_layout
+from circle_rope.spec import SCHEME_NAMES
 
 # |PTD(x') - PTD'| <= TOLERANCE * M for any other scale or shift, for circle,
 # and for the scalar oracle against `ptd`.
@@ -90,6 +90,31 @@ def test_any_scale_and_shift_hold_within_the_stated_tolerance(layout, scheme, co
             assert len(np.unique(other.index)) < len(np.unique(seq.index))
             continue
         assert abs(value - expected) <= bound
+
+
+def whole_and_per_image_ptd(segments, scheme, beta):
+    """PTD over the whole layout, and over each image's contiguous rows, at
+    R = 10 and alpha = 0.5."""
+    seq = assign(scheme, segments, CipConfig(0.5, FixedRadius(10.0), beta))
+    text, image = seq.indices(TEXT), seq.indices(IMAGE)
+    bounds = np.cumsum([0] + [seg.num_tokens for seg in segments if isinstance(seg, GridSpec)])
+    per_image = [ptd(DistanceMatrix(text, image[a:b])) for a, b in zip(bounds, bounds[1:])]
+    return ptd(DistanceMatrix(text, image)), per_image
+
+
+def test_whole_layout_ptd_also_measures_which_image_is_nearer():
+    # Each image's circle sits at its own point (b, b, b) on the text line, so
+    # a text token's row over all images also measures which image is nearer.
+    # Circle's equidistance, and its edge over spatial at small beta, hold
+    # per image; over the whole layout circle ranks above spatial.
+    for layout in ("i12x5,t20,i6x6", "t8,i8x8,t8,i8x8,t8"):
+        segments = parse_layout(layout)
+        whole, per_image = whole_and_per_image_ptd(segments, "circle", 1.0)
+        assert whole > 1 and max(per_image) <= 1e-12, layout
+        circle_whole, circle_per_image = whole_and_per_image_ptd(segments, "circle", 0.1)
+        spatial_whole, spatial_per_image = whole_and_per_image_ptd(segments, "spatial", 0.1)
+        assert circle_whole > spatial_whole, layout
+        assert all(c < s for c, s in zip(circle_per_image, spatial_per_image, strict=True)), layout
 
 
 def scalar_ptd_oracle(text, image):

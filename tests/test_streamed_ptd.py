@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from circle_rope import metrics
 from circle_rope.geometry import CipConfig
 from circle_rope.metrics import _BLOCK, distance_matrix, ptd
-from circle_rope.schemes import IMAGE, SCHEME_NAMES, TEXT, IndexedSequence, assign, parse_layout
+from circle_rope.schemes import IMAGE, TEXT, IndexedSequence, assign, parse_layout
+from circle_rope.spec import SCHEME_NAMES
 
 MIB = 1 << 20
 
