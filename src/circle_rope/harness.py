@@ -11,6 +11,7 @@ depth.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -51,8 +52,8 @@ class ExperimentReport(dict):
     layer: the overall mean and std of the text-to-image logits, the largest
     per-query spread (max - min over image keys), and the PTD of the active
     index assignment. Layers on the same assignment share one stats dict, and
-    the schemes share one key string per layer, which keeps the memory of a
-    caller that holds many reports (the benchmark keeps each one) in check."""
+    all reports in a process share one interned key string per layer, which
+    keeps a caller that holds many reports (the benchmark keeps each) small."""
 
     def as_dict(self) -> ExperimentReport:
         """The report itself, kept for the benchmark's worker."""
@@ -104,7 +105,7 @@ def run_experiment(
     # Circle's other layers run on the spatial indices, so they share
     # the spatial scheme's stats: the cache is keyed by index assignment.
     cache: dict[str, dict[str, float]] = {}
-    names = [str(layer) for layer in range(1, len(schedule) + 1)]
+    names = [sys.intern(str(layer)) for layer in range(1, len(schedule) + 1)]
     report = ExperimentReport()
     for scheme in schemes:
         report[scheme] = layers = {}

@@ -210,13 +210,13 @@ def test_internal_value_error_exit_1(monkeypatch):
 def test_closed_stdout_exits_1_quietly():
     # 200 kB of csv, more than the pipe holds, so the CLI is still writing
     # when the reader goes away
-    proc = subprocess.Popen([sys.executable, "-m", "circle_rope.cli", "project", "--layout",
-                             "i64x64,t8", "--stage", "fused"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_base_env())
-    assert proc.stdout.readline() == b"token_id,x,y,z\n"
-    proc.stdout.close()
-    assert proc.stderr.read() == b""
-    assert proc.wait(timeout=60) == 1
+    with subprocess.Popen([sys.executable, "-m", "circle_rope.cli", "project", "--layout",
+                           "i64x64,t8", "--stage", "fused"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_base_env()) as proc:
+        assert proc.stdout.readline() == b"token_id,x,y,z\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
 
 
 # Runs circle_rope.cli as __main__, as `python -m` and the console script do,

@@ -93,6 +93,17 @@ class TestRunExperiment:
         assert report["circle"]["1"] == report["spatial"]["1"]
         assert report["circle"]["2"] != report["spatial"]["2"]
 
+    def test_reports_share_their_layer_keys(self):
+        # a caller that keeps many reports (the benchmark keeps each one)
+        # holds one key string per layer, not one per report
+        schedule = make_schedule(12, ScheduleStrategy.ALTERNATING)
+        r1 = run_experiment(parse_layout("i3x3,t5"), CONFIG, schedule, PARAMS, seed=1)
+        r2 = run_experiment(parse_layout("t2,i2x3,t4"), CONFIG, schedule, PARAMS, seed=2)
+        for scheme in r1:
+            pairs = list(zip(r1[scheme], r2[scheme], strict=True))
+            assert len(pairs) == 12
+            assert all(k1 is k2 for k1, k2 in pairs)
+
     def test_missing_modality_rejected(self):
         schedule = make_schedule(1, ScheduleStrategy.ALL_CIRCLE)
         for layout in ("t5", "i3x3", "i2x2,i1x3"):
