@@ -95,7 +95,8 @@ def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str
                 if "=" not in line:
                     raise UsageError(f"bad config line {line!r} in {path}")
                 key, val = line.split("=", 1)
-                key, val = key.strip().replace("-", "_"), val.strip().strip('"')
+                key, val = key.strip().replace("-", "_"), val.strip()
+                val = val[1:-1] if len(val) > 1 and val[0] == val[-1] == '"' else val
                 if key not in options:
                     raise UsageError(f"unknown config key {key!r} in {path}")
                 action = options[key]

@@ -38,19 +38,16 @@ class RotaryParams:
                 f"sections {self.sections} must sum to head_dim/2 = {self.head_dim // 2}"
             )
 
-    def frequencies(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pair (axis assignment, frequency). Each section restarts its
+    def frequencies(self) -> np.ndarray:
+        """Per-pair frequency, (head_dim/2,). Each section restarts its
         geometric ladder at exponent zero."""
-        axes = np.repeat(np.arange(3), self.sections)
         ranks = np.concatenate([np.arange(s) for s in self.sections])
-        freqs = 10000.0 ** (-2.0 * ranks / self.head_dim)
-        return axes, freqs
+        return 10000.0 ** (-2.0 * ranks / self.head_dim)
 
 
 def rotation_angles(index: np.ndarray, params: RotaryParams) -> np.ndarray:
     """Rotation angle per dimension pair for (..., 3) indices: (..., head_dim/2)."""
-    axes, freqs = params.frequencies()
-    return index[..., axes] * freqs
+    return np.repeat(index, params.sections, axis=-1) * params.frequencies()
 
 
 def apply_rotary(vec: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -90,7 +87,7 @@ def rotate_key(key: np.ndarray, index: np.ndarray, params: RotaryParams) -> np.n
         raise CircleRopeError(f"need a ({params.head_dim},) key and (N, 3) indices, "
                         f"got {key.shape} and {index.shape}")
     bits = index.view(np.int64)
-    _, freqs = params.frequencies()
+    freqs = params.frequencies()
     bounds = np.cumsum((0, *params.sections))
     replicated = bool(np.all(bits[:, 1:] == bits[:, :1]))
     out = np.empty((len(index), params.head_dim))

@@ -30,7 +30,9 @@ BAD_VALUES = ["alpha=x", "beta=x", "radius=abc", "radius=fixed:-1", "format=xml"
               "schemes=hard,square", "stage=warped", "schedule=sideways", "layers=abc",
               "seed=-1", "seed=1.5", "head-dim=abc", "sections=1,2", "sections=a,b,c",
               # int() takes these; the ASCII integer grammar does not
-              "layers=\u0662", "head-dim=1_6", "seed=1_000", "seed=+7", "sections=4,+2,2"]
+              "layers=\u0662", "head-dim=1_6", "seed=1_000", "seed=+7", "sections=4,+2,2",
+              # one pair of double quotes is dropped, and only a matching one
+              'alpha="0.3', 'alpha=0.3"', 'alpha=""0.3""']
 COMMANDS = {"ptd": PTD, "project": ["project", "--layout", "i3x3,t1", "--stage", "fused"],
             "attn": ATTN}
 

@@ -117,7 +117,8 @@ def test_stdout_digest(case_id, tmp_path, monkeypatch):
     out = io.StringIO()
     code = main(workloads.cli_argv(case, str(tmp_path)), out=out)
     data = out.getvalue().encode()
-    assert [code, hashlib.sha256(data).hexdigest(), len(data)] == expected_digest(case_id)
+    assert [code, hashlib.sha256(data).hexdigest(), len(data)] == expected_digest(case_id), (
+        f"checked against OpenBLAS core {openblas_core()!r}")
 
 
 # Each forced core and the name it reads back as. Cores older than the CPU
