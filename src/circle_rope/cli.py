@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 usage or validation error, 1 internal error. A
 stdout closed before the output is written (`| head -1`) also exits 1, with
 nothing on stderr.
 
-At load time only the numpy-free `spec` is imported. Each subcommand imports
-the compute modules it uses once its input is checked.
+At load time only the numpy-free `spec` is imported. Every input rule lives
+in `spec` or here, so a rejected call exits before numpy loads; each
+subcommand imports the compute modules it uses once its input is checked.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import os
 import sys
 
 from .spec import SCHEME_NAMES, STAGE_NAMES, AutoRadius, CipConfig, CircleRopeError, \
-    FixedRadius, GridSpec, ScheduleStrategy, Segment, integer, parse_layout, token_counts
+    FixedRadius, GridSpec, RotaryParams, ScheduleStrategy, Segment, integer, make_schedule, \
+    parse_layout, token_counts
 
 # Size limits, checked before anything of that size is allocated; beyond them
 # the CLI exits 2. The README's "CLI" section gives the peaks measured at them.
@@ -114,8 +116,8 @@ def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str
 
 
 def _inputs(args: argparse.Namespace, pairs: bool = True) -> tuple[list[Segment], CipConfig]:
-    """The --layout segments, within MAX_TOKENS and, if `pairs`, MAX_CELLS,
-    and the projection config of --alpha, --radius and --beta."""
+    """The --layout segments, within MAX_TOKENS and, if `pairs`, with text and
+    image within MAX_CELLS, and the config of --alpha, --radius and --beta."""
     segments = parse_layout(args.layout)
     text, image = token_counts(segments)
     if text + image > MAX_TOKENS:
@@ -123,6 +125,8 @@ def _inputs(args: argparse.Namespace, pairs: bool = True) -> tuple[list[Segment]
     if pairs and text * image > MAX_CELLS:
         raise UsageError(f"layout has {text} x {image} = {text * image} text-image pairs, "
                          f"over the limit of {MAX_CELLS}")
+    if pairs and not (text and image):
+        raise UsageError("layout needs both text and image tokens")
     return segments, CipConfig(args.alpha, args.radius, args.beta)
 
 
@@ -178,11 +182,9 @@ def cmd_attn(args: argparse.Namespace, out) -> int:
     if layers > MAX_LAYERS:
         raise UsageError(f"layers {layers} is over the limit of {MAX_LAYERS}")
     seed = parse_seed(os.environ.get("CIRCLE_ROPE_SEED") or "0") if args.seed is None else args.seed
-    # rope and harness check head-dim parity, sections, layers and text
-    from .harness import make_schedule, run_experiment
-    from .rope import RotaryParams
     params = RotaryParams(head_dim=head_dim, sections=args.sections)
     schedule = make_schedule(layers, ScheduleStrategy(args.schedule))
+    from .harness import run_experiment
     report = run_experiment(segments, config, schedule, params, seed=seed, schemes=args.schemes)
     out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0

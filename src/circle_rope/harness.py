@@ -5,7 +5,7 @@ Every image key shares one random content vector, so any per-query logit
 spread comes purely from positional rotation. Per layer the schedule says
 whether the circle scheme uses its circle indices; on the other layers it
 uses the spatial indices. The other schemes keep their own indices at every
-depth.
+depth. The schedule and its rules live in `spec`.
 """
 
 from __future__ import annotations
@@ -16,35 +16,11 @@ import sys
 import numpy as np
 
 from .metrics import ptd_of
-from .rope import RotaryParams, apply_rotary, rotate_key, rotation_angles
+from .rope import apply_rotary, rotate_key, rotation_angles
 from .schemes import IMAGE, TEXT, IndexedSequence, assign
-from .spec import SCHEME_NAMES, CipConfig, CircleRopeError, ScheduleStrategy, Segment, token_counts
-
-
-class LayerSchedule(tuple):
-    """Per layer, from layer 1 up: True if the circle scheme uses its circle
-    indices there, False if it uses the spatial ones. `num_layers` is the
-    length, kept for the benchmark's tracer."""
-
-    num_layers = property(len)
-
-
-def make_schedule(num_layers: int, strategy: ScheduleStrategy) -> LayerSchedule:
-    """Build a schedule. Alternating puts circle indices on even layers;
-    upper/lower split at ceil(n/2)."""
-    if num_layers < 1:
-        raise CircleRopeError(f"num_layers must be >= 1, got {num_layers}")
-    # a plain string equals its member, so test the type, not the key
-    if not isinstance(strategy, ScheduleStrategy):
-        raise CircleRopeError(f"unknown strategy {strategy!r}")
-    split = math.ceil(num_layers / 2)
-    rule = {
-        ScheduleStrategy.ALL_CIRCLE: lambda layer: True,
-        ScheduleStrategy.UPPER_HALF_CIRCLE: lambda layer: layer > split,
-        ScheduleStrategy.LOWER_HALF_CIRCLE: lambda layer: layer <= split,
-        ScheduleStrategy.ALTERNATING: lambda layer: layer % 2 == 0,
-    }[strategy]
-    return LayerSchedule(rule(layer) for layer in range(1, num_layers + 1))
+# make_schedule and its types are re-exported: the benchmark resolves them here
+from .spec import SCHEME_NAMES, CipConfig, CircleRopeError, LayerSchedule, RotaryParams, \
+    ScheduleStrategy, Segment, make_schedule, token_counts
 
 
 class ExperimentReport(dict):

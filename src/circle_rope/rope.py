@@ -4,45 +4,15 @@ Head dimensions are split into three frequency sections, one per index axis
 (temporal, height, width). Each pair of dimensions in section a rotates by
 index[a] * 10000**(-2d/D), where d is the pair's rank within its own section.
 Indices may be fractional or negative; rotations are defined for all reals.
+`RotaryParams`, with the rules of head_dim and sections, lives in `spec`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .spec import CircleRopeError
-
-
-@dataclass(frozen=True)
-class RotaryParams:
-    """`sections` counts the dimension pairs of each axis. By default a
-    quarter of the head_dim/2 pairs (rounded down) goes to height, as many to
-    width, and the rest to the temporal axis: (16, 8, 8) at head_dim 64."""
-
-    head_dim: int
-    sections: tuple[int, int, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.head_dim <= 0 or self.head_dim % 2 != 0:
-            raise CircleRopeError(f"head_dim must be even and positive, got {self.head_dim}")
-        if self.sections is None:
-            quarter = self.head_dim // 8
-            object.__setattr__(self, "sections",
-                               (self.head_dim // 2 - 2 * quarter, quarter, quarter))
-        if len(self.sections) != 3 or any(s < 0 for s in self.sections):
-            raise CircleRopeError(f"sections must be 3 non-negative counts, got {self.sections}")
-        if sum(self.sections) != self.head_dim // 2:
-            raise CircleRopeError(
-                f"sections {self.sections} must sum to head_dim/2 = {self.head_dim // 2}"
-            )
-
-    def frequencies(self) -> np.ndarray:
-        """Per-pair frequency, (head_dim/2,). Each section restarts its
-        geometric ladder at exponent zero."""
-        ranks = np.concatenate([np.arange(s) for s in self.sections])
-        return 10000.0 ** (-2.0 * ranks / self.head_dim)
+# RotaryParams is re-exported: the benchmark resolves rope.RotaryParams
+from .spec import CircleRopeError, RotaryParams
 
 
 def rotation_angles(index: np.ndarray, params: RotaryParams) -> np.ndarray:

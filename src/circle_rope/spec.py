@@ -1,6 +1,6 @@
-"""The inputs of circle_rope and its error class, on the standard library
-alone, so that the CLI checks every input before it loads numpy. The
-compute modules re-export the names of it they use."""
+"""The inputs of circle_rope with every rule they must keep, and its error
+class. Loading it imports only the standard library, so the CLI checks every
+input before it loads numpy. The compute modules re-export what they use."""
 
 from __future__ import annotations
 
@@ -136,3 +136,60 @@ class ScheduleStrategy(str, Enum):
     UPPER_HALF_CIRCLE = "upper"
     LOWER_HALF_CIRCLE = "lower"
     ALTERNATING = "alt"
+
+
+@dataclass(frozen=True)
+class RotaryParams:
+    """`sections` counts the dimension pairs of each axis. By default a
+    quarter of the head_dim/2 pairs (rounded down) goes to height, as many to
+    width, and the rest to the temporal axis: (16, 8, 8) at head_dim 64."""
+
+    head_dim: int
+    sections: tuple[int, int, int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.head_dim <= 0 or self.head_dim % 2 != 0:
+            raise CircleRopeError(f"head_dim must be even and positive, got {self.head_dim}")
+        if self.sections is None:
+            quarter = self.head_dim // 8
+            object.__setattr__(self, "sections",
+                               (self.head_dim // 2 - 2 * quarter, quarter, quarter))
+        if len(self.sections) != 3 or any(s < 0 for s in self.sections):
+            raise CircleRopeError(f"sections must be 3 non-negative counts, got {self.sections}")
+        if sum(self.sections) != self.head_dim // 2:
+            raise CircleRopeError(
+                f"sections {self.sections} must sum to head_dim/2 = {self.head_dim // 2}"
+            )
+
+    def frequencies(self):
+        """Per-pair frequency, a (head_dim/2,) float64 array. Each section
+        restarts its geometric ladder at exponent zero."""
+        import numpy as np  # here, not at load; a float ** is an ulp off on most configs
+        ranks = np.concatenate([np.arange(s) for s in self.sections])
+        return 10000.0 ** (-2.0 * ranks / self.head_dim)
+
+
+class LayerSchedule(tuple):
+    """Per layer, from layer 1 up: True if the circle scheme uses its circle
+    indices there, False if it uses the spatial ones. `num_layers` is the
+    length, kept for the benchmark's tracer."""
+
+    num_layers = property(len)
+
+
+def make_schedule(num_layers: int, strategy: ScheduleStrategy) -> LayerSchedule:
+    """Build a schedule. Alternating puts circle indices on even layers;
+    upper/lower split at ceil(n/2)."""
+    if num_layers < 1:
+        raise CircleRopeError(f"num_layers must be >= 1, got {num_layers}")
+    # a plain string equals its member, so test the type, not the key
+    if not isinstance(strategy, ScheduleStrategy):
+        raise CircleRopeError(f"unknown strategy {strategy!r}")
+    split = math.ceil(num_layers / 2)
+    rule = {
+        ScheduleStrategy.ALL_CIRCLE: lambda layer: True,
+        ScheduleStrategy.UPPER_HALF_CIRCLE: lambda layer: layer > split,
+        ScheduleStrategy.LOWER_HALF_CIRCLE: lambda layer: layer <= split,
+        ScheduleStrategy.ALTERNATING: lambda layer: layer % 2 == 0,
+    }[strategy]
+    return LayerSchedule(rule(layer) for layer in range(1, num_layers + 1))

@@ -72,6 +72,18 @@ class TestLimits:
                                   str(MAX_LAYERS), "--head-dim", str(MAX_HEAD_DIM))
         assert code == 0 and stdout
 
+    @pytest.mark.parametrize("argv,size,limit", [
+        (["ptd", "--layout", "t512,i256x512", "--schemes", "unordered"], 512 * 256 * 512,
+         MAX_CELLS),
+        (["ptd", "--layout", "t262143,i1x1", "--schemes", "hard"], 262143 + 1, MAX_TOKENS),
+        (["attn", "--layout", "t32767,i1x1", "--head-dim", "512", "--layers", "1",
+          "--schemes", "hard"], (32767 + 1) * 512, MAX_TOKEN_DIMS),
+    ], ids=["cells", "tokens", "tokens-times-head-dim"])
+    def test_layouts_at_the_limit_run(self, capsys, argv, size, limit):
+        assert size == limit
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0 and stdout
+
     def test_every_benchmark_input_is_within_the_limits(self):
         layouts = [layout for seed in range(1, 6) for layout in W.ptd_sweep_inputs(seed)]
         attn_runs = [(item["layout"], item["head_dim"])

@@ -28,10 +28,6 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(calls))
 """
 
-# Rejected by checks that live in rope and harness, next to the code they
-# guard; these calls load numpy before they exit 2.
-ATTN_ONLY = ("invalid-odd-head-dim", "invalid-zero-layers", "invalid-attn-no-text")
-
 
 def loaded_after(argvs, cwd):
     env = {k: v for k, v in os.environ.items() if k != "CIRCLE_ROPE_SEED"}
@@ -46,15 +42,14 @@ def loaded_after(argvs, cwd):
 def test_rejected_input_exits_before_numpy_is_imported(tmp_path):
     rejected = [case for case in W.cli_cases()
                 if case["id"].startswith(("invalid-", "bad-", "missing-"))]
+    assert len(rejected) == 18
     W.write_cli_configs(rejected, str(tmp_path))
-    # the numpy-free rejections first: modules stay loaded from call to call
-    rejected.sort(key=lambda case: case["id"] in ATTN_ONLY)
-    assert len(rejected) == 18 and {case["id"] for case in rejected[-3:]} == set(ATTN_ONLY)
-    calls = loaded_after([W.cli_argv(case, str(tmp_path)) for case in rejected], tmp_path)
-    for case, (code, modules) in zip(rejected, calls):
-        assert code == 2, case["id"]
-        if case["id"] not in ATTN_ONLY:
-            assert "numpy" not in modules, case["id"]
+    argvs = [W.cli_argv(case, str(tmp_path)) for case in rejected]
+    # a layout without text, and sections that do not sum to head_dim/2
+    argvs += [["ptd", "--layout", "i3x3"],
+              ["attn", "--layout", "i3x3,t5", "--head-dim", "8", "--sections", "1,1,1"]]
+    for argv, (code, modules) in zip(argvs, loaded_after(argvs, tmp_path)):
+        assert code == 2 and "numpy" not in modules, argv
 
 
 def subcommand_modules(argv, tmp_path):
