@@ -5,8 +5,9 @@ stdout closed before the output is written (`| head -1`) also exits 1, with
 nothing on stderr.
 
 At load time only the numpy-free `spec` is imported. Every input rule lives
-in `spec` or here, so a rejected call exits before numpy loads; each
-subcommand imports the compute modules it uses once its input is checked.
+in `spec` or here, so a rejected call exits before numpy loads and only a
+non-finite PTD is left for the computation to find; each subcommand imports
+the compute modules it uses once its input is checked.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def load_config_file(path: str, options: dict[str, argparse.Action]) -> dict[str
 
 def _inputs(args: argparse.Namespace, pairs: bool = True) -> tuple[list[Segment], CipConfig]:
     """The --layout segments, within MAX_TOKENS and, if `pairs`, with text and
-    image within MAX_CELLS, and the config of --alpha, --radius and --beta."""
+    image within MAX_CELLS, and the config of --alpha, --radius and --beta,
+    with the radius resolved on every image."""
     segments = parse_layout(args.layout)
     text, image = token_counts(segments)
     if text + image > MAX_TOKENS:
@@ -127,7 +129,10 @@ def _inputs(args: argparse.Namespace, pairs: bool = True) -> tuple[list[Segment]
                          f"over the limit of {MAX_CELLS}")
     if pairs and not (text and image):
         raise UsageError("layout needs both text and image tokens")
-    return segments, CipConfig(args.alpha, args.radius, args.beta)
+    config = CipConfig(args.alpha, args.radius, args.beta)
+    for grid in (seg for seg in segments if isinstance(seg, GridSpec)):
+        config.radius.resolve(grid)
+    return segments, config
 
 
 def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:

@@ -77,19 +77,9 @@ def mix_angles(sa: np.ndarray, ga: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * sa + (1.0 - alpha) * ga
 
 
-def compute_radius(centered: np.ndarray, strategy: FixedRadius | AutoRadius) -> float:
-    """Resolve the circle radius for a centered point set."""
-    if isinstance(strategy, FixedRadius):
-        return strategy.value
-    if centered.size == 0:
-        raise CircleRopeError("empty point set")
-    max_norm = float(np.linalg.norm(centered[:, 1:3], axis=1).max())
-    if max_norm == 0.0:
-        raise CircleRopeError("degenerate radius")
-    radius = strategy.k * max_norm
-    if not np.isfinite(radius):
-        raise CircleRopeError(f"auto radius {strategy.k} * {max_norm} is not finite")
-    return radius
+def compute_radius(grid: GridSpec, strategy: FixedRadius | AutoRadius) -> float:
+    """Resolve the circle radius of a grid by the rule in `spec`."""
+    return strategy.resolve(grid)
 
 
 def map_to_circle(angles: np.ndarray, radius: float) -> np.ndarray:
@@ -136,7 +126,7 @@ def cip_transform(grid: GridSpec, config: CipConfig) -> CipStages:
     """Full circular projection of a grid, with every intermediate stage."""
     centered, _ = centralize(grid_coords(grid))
     mixed = mix_angles(spatial_origin_angles(centered), grid_index_angles(grid), config.alpha)
-    circle2d = map_to_circle(mixed, compute_radius(centered, config.radius))
+    circle2d = map_to_circle(mixed, compute_radius(grid, config.radius))
     projected = rotate_to_plane(circle2d)
     return CipStages(centered, circle2d, projected,
                      dual_frame_fusion(projected, centered, config.beta))

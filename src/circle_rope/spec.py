@@ -1,6 +1,7 @@
 """The inputs of circle_rope with every rule they must keep, and its error
 class. Loading it imports only the standard library, so the CLI checks every
-input before it loads numpy. The compute modules re-export what they use."""
+input, down to the radius each image resolves to, before it loads numpy.
+The compute modules re-export what they use."""
 
 from __future__ import annotations
 
@@ -48,16 +49,34 @@ class FixedRadius:
         if not (self.value > 0 and math.isfinite(self.value)):
             raise CircleRopeError(f"fixed radius must be positive and finite, got {self.value}")
 
+    def resolve(self, grid: GridSpec) -> float:
+        """The circle radius of `grid`: the value, whatever the grid."""
+        return self.value
+
 
 @dataclass(frozen=True)
 class AutoRadius:
-    """Scale the radius from the spread of the centered points: k * max L2 norm."""
+    """Scale the radius from the grid: k * the distance from its centre to a corner."""
 
     k: float
 
     def __post_init__(self) -> None:
         if not (self.k > 0 and math.isfinite(self.k)):
             raise CircleRopeError(f"auto radius factor must be positive and finite, got {self.k}")
+
+    def resolve(self, grid: GridSpec) -> float:
+        """The circle radius of `grid`: a corner's centred norm, the largest,
+        in the float64 operations of numpy's norm, so bit for bit numpy's."""
+        height, width = (grid.height - 1) / 2, (grid.width - 1) / 2
+        max_norm = math.sqrt(height * height + width * width)
+        if max_norm == 0.0:
+            raise CircleRopeError("degenerate radius")
+        radius = self.k * max_norm
+        if not math.isfinite(radius):
+            raise CircleRopeError(f"auto radius {self.k} * {max_norm} is not finite")
+        if radius == 0.0:  # a subnormal k times a small grid
+            raise CircleRopeError(f"radius must be positive, got {radius}")
+        return radius
 
 
 @dataclass(frozen=True)

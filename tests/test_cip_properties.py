@@ -67,7 +67,7 @@ def test_plane_projected_circle_is_orthogonal_to_the_text_direction(grid, alpha,
     assert np.abs(np.cross(u, v) - n).max() <= 2e-12
     assert np.abs(n - np.ones(3) / np.sqrt(3)).max() <= 1e-15
     stages = cip_transform(grid, CipConfig(alpha=alpha, radius=radius))
-    r = compute_radius(stages.centered, radius)
+    r = compute_radius(grid, radius)
     # the circle's centre is the origin, the image centre on the text line
     assert np.abs(stages.projected @ n).max() <= 2e-12 * r
     assert np.abs(np.linalg.norm(stages.projected, axis=1) - r).max() <= 2e-12 * r
@@ -81,7 +81,7 @@ def test_endpoints_are_exact(grid, radius, alpha, beta):
     stages = cip_transform(grid, CipConfig(alpha=alpha, radius=radius, beta=beta))
     assert isinstance(stages, CipStages)
     angles = spatial_origin_angles(stages.centered) if alpha else grid_index_angles(grid)
-    circle = map_to_circle(angles, compute_radius(stages.centered, radius))
+    circle = map_to_circle(angles, compute_radius(grid, radius))
     assert stages.circle2d.tobytes() == circle.tobytes()
     endpoint = stages.projected if beta else stages.centered
     assert stages.fused.tobytes() == endpoint.tobytes()

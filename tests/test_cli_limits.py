@@ -121,6 +121,33 @@ class TestRadiusConverter:
         assert f"bad radius {radius!r}" in stderr and reason in stderr
 
 
+class TestAutoRadius:
+    """An auto radius resolves on every image before any computation, so the
+    subcommand, the schemes and the layer count do not change its outcome."""
+
+    @pytest.mark.parametrize("message,argv", [
+        ("degenerate radius", ["attn", "--layout", "i1x1,t1", "--radius", "auto:1",
+                               "--head-dim", "8", "--layers", "1"]),
+        ("degenerate radius", ["attn", "--layout", "i1x1,t1", "--radius", "auto:1",
+                               "--head-dim", "8", "--layers", "2"]),
+        ("degenerate radius", ["ptd", "--layout", "i1x1,t1", "--radius", "auto:1",
+                               "--schemes", "hard"]),
+        ("radius must be positive, got 0.0", ["ptd", "--layout", "i2x1,t1", "--radius",
+                                              "auto:5e-324", "--schemes", "hard"]),
+    ], ids=["attn-1-layer", "attn-2-layers", "ptd-hard", "ptd-hard-underflow"])
+    def test_refused_at_every_layer_count_and_scheme_set(self, capsys, message, argv):
+        assert_refused(capsys, message, *argv)
+
+    def test_a_ptd_that_overflows_is_refused_only_where_it_is_computed(self, capsys):
+        # the one rule only the computation decides: layer 1 of the `alt`
+        # schedule takes no circle indices, so no PTD over 1e160 runs there
+        argv = ["attn", "--layout", "i8x8,t5", "--radius", "fixed:1e160", "--head-dim", "8"]
+        code, stdout, _ = run_cli(capsys, *argv, "--layers", "1")
+        assert code == 0 and stdout
+        assert_refused(capsys, "PTD is not finite: index distances overflow float64",
+                       *argv, "--layers", "2")
+
+
 segment = st.one_of(st.builds("t{}".format, st.integers(1, 6)),
                     st.builds("i{}x{}".format, st.integers(1, 5), st.integers(1, 5)))
 layouts = st.lists(segment, min_size=1, max_size=3).map(",".join)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circle_rope.geometry import (
     AutoRadius,
@@ -152,30 +153,56 @@ class TestMixAngles:
 
 class TestComputeRadius:
     def test_fixed(self):
-        assert compute_radius(centered_grid(3, 3), FixedRadius(10.0)) == 10.0
+        assert compute_radius(GridSpec(3, 3), FixedRadius(10.0)) == 10.0
 
     def test_auto_3x3(self):
-        assert compute_radius(centered_grid(3, 3), AutoRadius(1.0)) == pytest.approx(math.sqrt(2))
+        assert compute_radius(GridSpec(3, 3), AutoRadius(1.0)) == pytest.approx(math.sqrt(2))
 
     def test_auto_scaling(self):
-        assert compute_radius(centered_grid(3, 3), AutoRadius(2.0)) == pytest.approx(2 * math.sqrt(2))
+        assert compute_radius(GridSpec(3, 3), AutoRadius(2.0)) == pytest.approx(2 * math.sqrt(2))
 
     def test_degenerate(self):
         with pytest.raises(CircleRopeError, match="degenerate radius"):
-            compute_radius(centered_grid(1, 1), AutoRadius(1.0))
+            compute_radius(GridSpec(1, 1), AutoRadius(1.0))
 
-    def test_empty_point_set(self):
-        with pytest.raises(CircleRopeError, match="empty point set"):
-            compute_radius(np.zeros((0, 3)), AutoRadius(1.0))
+    def test_underflow(self):
+        # the smallest subnormal times 0.5 rounds to zero
+        with pytest.raises(CircleRopeError, match=r"radius must be positive, got 0\.0"):
+            compute_radius(GridSpec(2, 1), AutoRadius(5e-324))
 
     @pytest.mark.parametrize("resolve", [
-        lambda: compute_radius(centered_grid(3, 3), FixedRadius(math.inf)),
-        lambda: compute_radius(centered_grid(3, 3), AutoRadius(math.inf)),
-        lambda: compute_radius(centered_grid(64, 64), AutoRadius(1e308)),
+        lambda: compute_radius(GridSpec(3, 3), FixedRadius(math.inf)),
+        lambda: compute_radius(GridSpec(3, 3), AutoRadius(math.inf)),
+        lambda: compute_radius(GridSpec(64, 64), AutoRadius(1e308)),
     ], ids=["fixed-inf", "auto-inf", "auto-overflow"])
     def test_non_finite_rejected(self, resolve):
         with pytest.raises(CircleRopeError, match="finite"):
             resolve()
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=st.one_of(
+               st.builds(GridSpec, st.integers(1, 512), st.integers(1, 512)),
+               st.sampled_from([GridSpec(1, 1 << 18), GridSpec(1 << 18, 1)])),
+           k=st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 1e308]),
+                       st.floats(5e-324, 1e308)))
+    def test_auto_matches_a_numpy_norm_over_every_centred_point(self, grid, k):
+        """`spec`'s closed form against numpy's norm over every centred
+        point, bit for bit, and message for message where a check fails."""
+        max_norm = float(np.linalg.norm(centralize(grid_coords(grid))[0][:, 1:3], axis=1).max())
+        radius = k * max_norm
+        if max_norm == 0.0:
+            expected = "degenerate radius"
+        elif not np.isfinite(radius):
+            expected = f"auto radius {k} * {max_norm} is not finite"
+        elif radius == 0.0:
+            expected = "radius must be positive, got 0.0"
+        else:
+            assert np.float64(AutoRadius(k).resolve(grid)).tobytes() == \
+                np.float64(radius).tobytes()
+            return
+        with pytest.raises(CircleRopeError) as error:
+            AutoRadius(k).resolve(grid)
+        assert str(error.value) == expected
 
 
 class TestMapToCircle:

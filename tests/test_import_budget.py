@@ -45,9 +45,15 @@ def test_rejected_input_exits_before_numpy_is_imported(tmp_path):
     assert len(rejected) == 18
     W.write_cli_configs(rejected, str(tmp_path))
     argvs = [W.cli_argv(case, str(tmp_path)) for case in rejected]
-    # a layout without text, and sections that do not sum to head_dim/2
+    # a layout without text, sections that do not sum to head_dim/2, and
+    # auto radii that are degenerate or overflow, at every layer count
     argvs += [["ptd", "--layout", "i3x3"],
-              ["attn", "--layout", "i3x3,t5", "--head-dim", "8", "--sections", "1,1,1"]]
+              ["attn", "--layout", "i3x3,t5", "--head-dim", "8", "--sections", "1,1,1"],
+              ["attn", "--layout", "i1x1,t1", "--radius", "auto:1", "--head-dim", "8",
+               "--layers", "1"],
+              ["project", "--layout", "i1x1", "--stage", "centered", "--radius", "auto:1"],
+              ["ptd", "--layout", "i64x64,t5", "--radius", "auto:1e308"]]
+    assert len(argvs) == 23
     for argv, (code, modules) in zip(argvs, loaded_after(argvs, tmp_path)):
         assert code == 2 and "numpy" not in modules, argv
 
