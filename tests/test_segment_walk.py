@@ -3,7 +3,7 @@ equal a token-by-token reference written from the scheme rules."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circle_rope.geometry import CipConfig, FixedRadius, GridSpec, cip_transform, dual_frame_fusion
 from circle_rope.schemes import IMAGE, TEXT, TextSegment, assign
@@ -17,6 +17,8 @@ configs = st.builds(
     lambda alpha, radius, beta: CipConfig(alpha=alpha, radius=FixedRadius(radius), beta=beta),
     st.floats(0, 1), st.floats(0.5, 20), st.floats(0, 1),
 )
+# the config of the hand-written layouts in test_matches_reference's examples
+HAND = CipConfig(radius=FixedRadius(10.0), beta=1.0)
 
 
 def reference(scheme, segments, config):
@@ -52,6 +54,17 @@ def reference(scheme, segments, config):
 @pytest.mark.parametrize("scheme", ["hard", "unordered", "spatial", "circle"])
 @settings(max_examples=60)
 @given(segments=layouts, config=configs)
+@example(segments=[GridSpec(3, 3), TextSegment(5)], config=HAND)
+@example(segments=[TextSegment(2)], config=HAND)
+@example(segments=[TextSegment(1), GridSpec(2, 2), TextSegment(1)], config=HAND)
+@example(segments=[TextSegment(1), GridSpec(2, 2)], config=HAND)
+@example(segments=[GridSpec(2, 2), GridSpec(2, 2)], config=HAND)
+@example(segments=[TextSegment(2), GridSpec(2, 2)], config=HAND)
+@example(segments=[TextSegment(2), GridSpec(2, 2), TextSegment(1)], config=HAND)
+@example(segments=[GridSpec(1, 1)], config=HAND)
+@example(segments=[TextSegment(3), GridSpec(4, 2), TextSegment(1)], config=HAND)
+@example(segments=[GridSpec(3, 3), TextSegment(1)], config=HAND)
+@example(segments=[GridSpec(2, 3), TextSegment(1)], config=HAND)  # taller than wide
 def test_matches_reference(scheme, segments, config):
     seq = assign(scheme, segments, config)
     expected_index, expected_modality = reference(scheme, segments, config)
