@@ -26,14 +26,21 @@ _AXES = {"scalar": (0,), "planar": (1, 2), "3d": (0, 1, 2)}
 class DistanceMatrix:
     """Text-to-image distances. Rows are text tokens, columns image tokens.
 
-    Built from the (T, 3) text and (I, 3) image indices, it holds only
-    `shape` (T, I), the `convention` and one contiguous column per axis the
-    convention measures. The convention adapts to how much of the 3-axis
-    index encodes position, comparing indices by exact `==`: "scalar" when
-    every index is a replication (s, s, s), the 1D gap |s_t - s_i| rather
-    than a 3D distance sqrt(3) larger; "planar" when text indices are
-    replicated and image tokens share one temporal component, which then
-    only duplicates the sequence counter and is dropped; otherwise "3d".
+    Built from the (T, 3) text and (I, 3) image indices. The convention
+    adapts to how much of the 3-axis index encodes position, comparing
+    indices by exact `==`: "scalar" when every index is a replication
+    (s, s, s), the 1D gap |s_t - s_i| rather than a 3D distance sqrt(3)
+    larger; "planar" when text indices are replicated and image tokens share
+    one temporal component, which then only duplicates the sequence counter
+    and is dropped; otherwise "3d".
+
+    It holds only `shape` (T, I), the `convention` and one contiguous column
+    per axis the convention measures. When a planar or 3d convention's A
+    axes hold only integers of magnitude at most 2**24, it holds instead the
+    factors `left` (T, A+2) = [sum t**2, -2t..., 1] and `right` (A+2, I) =
+    [1; k...; sum k**2] of the squared table. Their entries, products and
+    partial sums are then integers below 2**52, so a matmul gives that table
+    exactly, in any summation order.
 
     `values` builds a new (T, I) table on each read and keeps none. Distances
     that overflow float64 come out as inf; `ptd` rejects them.
@@ -50,8 +57,15 @@ class DistanceMatrix:
         else:
             self.convention = "3d"
         self.shape = (len(text), len(image))
-        self._columns = [(np.ascontiguousarray(text[:, a]), np.ascontiguousarray(image[:, a]))
-                         for a in _AXES[self.convention]]
+        text, image = text[:, _AXES[self.convention]], image[:, _AXES[self.convention]]
+        self._factors, self._columns = None, []
+        if self.convention != "scalar" and _small_integers(text) and _small_integers(image):
+            self._factors = (
+                np.column_stack([(text * text).sum(axis=1), -2 * text, np.ones(len(text))]),
+                np.vstack([np.ones(len(image)), image.T, (image * image).sum(axis=1)]))
+        else:
+            self._columns = [(np.ascontiguousarray(text[:, a]), np.ascontiguousarray(image[:, a]))
+                             for a in range(text.shape[1])]
 
     @property
     @np.errstate(over="ignore", invalid="ignore")
@@ -72,8 +86,13 @@ def _fill_rows(matrix: DistanceMatrix, first: int, last: int, out: np.ndarray,
     Squares are summed axis by axis, then square-rooted: the same arithmetic,
     per element, as a norm over a (T, I, len(axes)) array (the first square
     goes straight into `out`, since 0 + x == x). The scalar convention takes
-    the absolute gap. `diff` is scratch of at least `out`'s shape.
+    the absolute gap. Integer factors take one product instead, equal to the
+    sum of squares bit for bit. `diff` is scratch of at least `out`'s shape.
     """
+    if matrix._factors is not None:
+        left, right = matrix._factors
+        np.sqrt(np.matmul(left[first:last], right, out=out), out=out)
+        return
     (text, image), *rest = matrix._columns
     np.subtract(text[first:last, None], image[None, :], out=out)
     if matrix.convention == "scalar":
@@ -89,6 +108,11 @@ def _fill_rows(matrix: DistanceMatrix, first: int, last: int, out: np.ndarray,
 
 def _all_replicated(indices: np.ndarray) -> bool:
     return bool(np.all(indices == indices[:, :1]))
+
+
+def _small_integers(values: np.ndarray) -> bool:
+    """Whether every value is an integer of magnitude at most 2**24 (NaN and inf are not)."""
+    return bool(np.all(np.abs(values) <= 1 << 24) and np.all(np.trunc(values) == values))
 
 
 def distance_matrix(seq: IndexedSequence) -> DistanceMatrix:
@@ -138,7 +162,7 @@ def _abs_deviation_sum(matrix: DistanceMatrix, dev: np.ndarray, diff: np.ndarray
     if not (held[0] <= first and last <= held[1]):
         block = dev[:last - first]
         _fill_rows(matrix, first, last, block, diff)
-        block -= block.mean(axis=1, keepdims=True)
+        block -= np.add.reduce(block, axis=1, keepdims=True) / width
         np.abs(block, out=block)
         held[:] = first, last
     offset = held[0] * width

@@ -69,8 +69,8 @@ MUTANTS = [
            "spread = float((logits.max(axis=1) - logits.min(axis=1)).max())",
            "spread = float((logits.max(axis=1) - logits.min(axis=1)).mean())", "killed"),
     Mutant("M08", "PTD subtracts each row's own mean", METRICS,
-           "block -= block.mean(axis=1, keepdims=True)",
-           "block -= block.mean(axis=1, keepdims=True) + 1e-15", "killed"),
+           "block -= np.add.reduce(block, axis=1, keepdims=True) / width",
+           "block -= np.add.reduce(block, axis=1, keepdims=True) / width + 1e-15", "killed"),
     Mutant("M09", "the CLI accepts exactly MAX_CELLS text-image pairs", CLI,
            "if pairs and text * image > MAX_CELLS:", "if pairs and text * image >= MAX_CELLS:",
            "killed"),
@@ -154,6 +154,10 @@ MUTANTS = [
     Mutant("M38", "the rotary frequency base is 10000", SPEC,
            "return 10000.0 ** (-2.0 * ranks / self.head_dim)",
            "return 1000.0 ** (-2.0 * ranks / self.head_dim)", "killed"),
+    Mutant("M39", "PTD's integer product is exact only up to 2**24", METRICS,
+           "1 << 24", "1 << 40", "killed"),
+    Mutant("M40", "PTD's integer product takes integer indices only", METRICS,
+           " and np.all(np.trunc(values) == values)", "", "killed"),
 ]
 
 
