@@ -223,6 +223,14 @@ class TestMapToCircle:
         assert np.allclose(np.linalg.norm(pts[:, :2], axis=1), 3.5, atol=1e-9)
         assert np.all(pts[:, 2] == 0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_non_positive_radius_rejected(self, radius):
+        # the CLI resolves every radius in `spec` first, so only a library
+        # call reaches this check
+        with pytest.raises(CircleRopeError) as error:
+            map_to_circle(np.zeros(3), radius)
+        assert str(error.value) == f"radius must be positive, got {radius}"
+
 
 def assert_orthonormal(n, u, v):
     for vec in (n, u, v):

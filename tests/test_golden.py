@@ -17,6 +17,8 @@ logit matmul, which OpenBLAS picks for the CPU (or as OPENBLAS_CORETYPE
 forces). So the digests of the `attn` cases that succeed are keyed by the
 kernel's core name: the file's are the SkylakeX ones, and ATTN_DIGESTS holds
 those of the other cores where they differ. A core name outside CORES fails.
+Every other digest must not depend on the kernel: the forced-core test reruns
+every case under each of four other cores.
 """
 
 import ctypes
@@ -106,17 +108,23 @@ def expected_digest(case_id: str) -> list:
     return ATTN_DIGESTS.get((case_id, core), EXPECTED[case_id])
 
 
-@pytest.mark.parametrize("case_id", sorted(CASES))
-def test_stdout_digest(case_id, tmp_path, monkeypatch):
-    case = CASES[case_id]
-    workloads.write_cli_configs([case], str(tmp_path))
-    monkeypatch.chdir(tmp_path)
+def run_case(case: dict, directory: Path, monkeypatch: pytest.MonkeyPatch) -> tuple[int, bytes]:
+    """Run one catalogue case in-process through `cli.main`, from its own
+    argv, config file (written to `directory`, the working directory of the
+    call) and environment: its exit code and stdout."""
+    workloads.write_cli_configs([case], str(directory))
+    monkeypatch.chdir(directory)
     monkeypatch.delenv("CIRCLE_ROPE_SEED", raising=False)
     for name, value in case["env"].items():
         monkeypatch.setenv(name, value)
     out = io.StringIO()
-    code = main(workloads.cli_argv(case, str(tmp_path)), out=out)
-    data = out.getvalue().encode()
+    code = main(workloads.cli_argv(case, str(directory)), out=out)
+    return code, out.getvalue().encode()
+
+
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_stdout_digest(case_id, tmp_path, monkeypatch):
+    code, data = run_case(CASES[case_id], tmp_path, monkeypatch)
     assert [code, hashlib.sha256(data).hexdigest(), len(data)] == expected_digest(case_id), (
         f"checked against OpenBLAS core {openblas_core()!r}")
 
@@ -127,16 +135,18 @@ def test_stdout_digest(case_id, tmp_path, monkeypatch):
                                             ("Sandybridge", "Sandybridge"),
                                             ("Haswell", "Haswell")])
 def test_attn_digests_under_forced_core(coretype, core):
-    # the child prints the core it runs on, then reruns the golden attn cases;
-    # it imports this module before pytest loads the conftest, so it puts the
-    # tests and perfbench directories on its path itself
+    # the child prints the core it runs on, then reruns every golden case:
+    # the attn cases against that core's digests, and every other case
+    # against the file's, since `ptd`'s integer rows also go through
+    # OpenBLAS's matmul and must not depend on the kernel. It imports this
+    # module before pytest loads the conftest, so it puts the tests and
+    # perfbench directories on its path itself.
     script = ("import sys, pytest; sys.path[:0] = sys.argv[1:3]; import test_golden; "
               "print(test_golden.openblas_core(), flush=True); "
-              "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[3:]]))")
+              "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[3]]))")
     here = Path(__file__).resolve()
-    node_ids = [f"{here}::test_stdout_digest[{case}]" for case in ATTN_CASES]
     proc = subprocess.run([sys.executable, "-c", script, str(here.parent), str(PERFBENCH),
-                           *node_ids],
+                           f"{here}::test_stdout_digest"],
                           capture_output=True, text=True,
                           env={**os.environ, "OPENBLAS_CORETYPE": coretype}, timeout=120)
     assert proc.stdout.split("\n", 1)[0] == core, proc.stdout[-2000:]

@@ -158,6 +158,8 @@ MUTANTS = [
            "1 << 24", "1 << 40", "killed"),
     Mutant("M40", "PTD's integer product takes integer indices only", METRICS,
            " and np.all(np.trunc(values) == values)", "", "killed"),
+    Mutant("M41", "the circle's radius is positive", GEOMETRY,
+           "if not radius > 0:", "if radius < 0:", "killed"),
 ]
 
 
