@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 # re-exported, so that geometry.CipConfig and the like keep resolving
-from .spec import STAGE_NAMES, AutoRadius, CipConfig, CircleRopeError, FixedRadius, GridSpec
+from .spec import STAGE_NAMES, AutoRadius, CipConfig, FixedRadius, GridSpec
 
 TWO_PI = 2.0 * np.pi
 
@@ -30,10 +30,8 @@ def grid_coords(grid: GridSpec) -> np.ndarray:
     Row j, column i maps to (0, j, i): axis 1 holds the height coordinate,
     axis 2 the width coordinate.
     """
-    jj, ii = np.meshgrid(np.arange(grid.height), np.arange(grid.width), indexing="ij")
     points = np.zeros((grid.num_tokens, 3))
-    points[:, 1] = jj.ravel()
-    points[:, 2] = ii.ravel()
+    points[:, 1], points[:, 2] = np.divmod(np.arange(grid.num_tokens), grid.width)
     return points
 
 
@@ -43,8 +41,6 @@ def centralize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (centered points, center). The center is the component-wise
     midpoint of the bounding box, (max + min) / 2.
     """
-    if points.size == 0:
-        raise CircleRopeError("empty point set")
     center = 0.5 * (points.max(axis=0) + points.min(axis=0))
     return points - center, center
 
@@ -72,8 +68,6 @@ def grid_index_angles(grid: GridSpec) -> np.ndarray:
 
 def mix_angles(sa: np.ndarray, ga: np.ndarray, alpha: float) -> np.ndarray:
     """Weighted average alpha * sa + (1 - alpha) * ga."""
-    if sa.shape != ga.shape:
-        raise CircleRopeError(f"angle list length mismatch: {sa.shape} vs {ga.shape}")
     return alpha * sa + (1.0 - alpha) * ga
 
 
@@ -87,8 +81,6 @@ def map_to_circle(angles: np.ndarray, radius: float) -> np.ndarray:
 
     Output rows are (R*cos, R*sin, 0) working coordinates.
     """
-    if not radius > 0:
-        raise CircleRopeError(f"radius must be positive, got {radius}")
     out = np.zeros((len(angles), 3))
     out[:, 0] = radius * np.cos(angles)
     out[:, 1] = radius * np.sin(angles)
@@ -134,6 +126,4 @@ def cip_transform(grid: GridSpec, config: CipConfig) -> CipStages:
 
 def dual_frame_fusion(projected: np.ndarray, centered: np.ndarray, beta: float) -> np.ndarray:
     """Blend projected and centered coordinates: beta*projected + (1-beta)*centered."""
-    if projected.shape != centered.shape:
-        raise CircleRopeError(f"point set shape mismatch: {projected.shape} vs {centered.shape}")
     return beta * projected + (1.0 - beta) * centered

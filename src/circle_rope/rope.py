@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 # RotaryParams is re-exported: the benchmark resolves rope.RotaryParams
-from .spec import CircleRopeError, RotaryParams
+from .spec import RotaryParams
 
 
 def rotation_angles(index: np.ndarray, params: RotaryParams) -> np.ndarray:
@@ -26,8 +26,6 @@ def apply_rotary(vec: np.ndarray, angles: np.ndarray) -> np.ndarray:
     The output is always a fresh C-contiguous array, also for a broadcast
     `vec`, so a matmul over rotated rows sums in the same order either way.
     """
-    if vec.shape[-1] != 2 * angles.shape[-1]:
-        raise CircleRopeError(f"vector dim {vec.shape[-1]} != 2 * {angles.shape[-1]} angles")
     cos = np.cos(angles)
     sin = np.sin(angles)
     even = vec[..., 0::2]
@@ -53,9 +51,6 @@ def rotate_key(key: np.ndarray, index: np.ndarray, params: RotaryParams) -> np.n
     section's even and odd output entries.
     """
     index = np.ascontiguousarray(index, dtype=float)  # the int64 view below needs this layout
-    if key.shape != (params.head_dim,) or index.ndim != 2 or index.shape[1] != 3:
-        raise CircleRopeError(f"need a ({params.head_dim},) key and (N, 3) indices, "
-                        f"got {key.shape} and {index.shape}")
     bits = index.view(np.int64)
     freqs = params.frequencies()
     bounds = np.cumsum((0, *params.sections))

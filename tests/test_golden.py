@@ -21,7 +21,6 @@ Every other digest must not depend on the kernel: the forced-core test reruns
 every case under each of four other cores.
 """
 
-import ctypes
 import hashlib
 import io
 import json
@@ -30,13 +29,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy
 import pytest
 
+# the bench tool's, which records the core beside its numbers
+from bench import openblas_core
 from circle_rope.cli import main
 import workloads
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TOOLS = PERFBENCH.parent / "tools"
 
 EXPECTED = json.loads((PERFBENCH / "cli_expected.json").read_text())
 CASES = {case["id"]: case for case in workloads.cli_cases() + workloads.cli_probes()}
@@ -86,18 +87,6 @@ config-attn   Katmai      0 6744f8a6e7c1a06b80d96d6f9c5afb42863ca01db79018f7d03f
 """.strip().splitlines())}
 
 
-def openblas_core() -> str | None:
-    """The core name of the OpenBLAS kernel numpy runs on, read from the
-    scipy-openblas library in numpy.libs; None if there is none."""
-    libs = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob(
-        "libscipy_openblas64_*"))
-    if not libs:
-        return None
-    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
-
-
 def expected_digest(case_id: str) -> list:
     if case_id in PROBES:
         return [2, hashlib.sha256(b"").hexdigest(), 0]
@@ -139,14 +128,14 @@ def test_attn_digests_under_forced_core(coretype, core):
     # the attn cases against that core's digests, and every other case
     # against the file's, since `ptd`'s integer rows also go through
     # OpenBLAS's matmul and must not depend on the kernel. It imports this
-    # module before pytest loads the conftest, so it puts the tests and
-    # perfbench directories on its path itself.
-    script = ("import sys, pytest; sys.path[:0] = sys.argv[1:3]; import test_golden; "
+    # module before pytest loads the conftest, so it puts the tests,
+    # perfbench and tools directories on its path itself.
+    script = ("import sys, pytest; sys.path[:0] = sys.argv[1:4]; import test_golden; "
               "print(test_golden.openblas_core(), flush=True); "
-              "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[3]]))")
+              "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[4]]))")
     here = Path(__file__).resolve()
     proc = subprocess.run([sys.executable, "-c", script, str(here.parent), str(PERFBENCH),
-                           f"{here}::test_stdout_digest"],
+                           str(TOOLS), f"{here}::test_stdout_digest"],
                           capture_output=True, text=True,
                           env={**os.environ, "OPENBLAS_CORETYPE": coretype}, timeout=120)
     assert proc.stdout.split("\n", 1)[0] == core, proc.stdout[-2000:]

@@ -12,7 +12,7 @@ from circle_rope.geometry import GridSpec
 from circle_rope.rope import RotaryParams, apply_rotary, logit, rotate_key, \
     rotation_angles
 from circle_rope.schemes import IMAGE, TEXT, TextSegment, assign
-from circle_rope.spec import SCHEME_NAMES, CircleRopeError
+from circle_rope.spec import SCHEME_NAMES
 from test_segment_walk import configs
 
 
@@ -105,14 +105,6 @@ def test_empty_index(sections):
     out = rotate_key(np.ones(16), np.zeros((0, 3)), params)
     assert out.shape == (0, 16)
     assert out.flags.c_contiguous
-
-
-def test_shape_mismatch_rejected():
-    params = RotaryParams(8, sections=(2, 1, 1))
-    with pytest.raises(CircleRopeError, match=r"need a \(8,\) key .* got \(6,\) and \(2, 3\)"):
-        rotate_key(np.ones(6), np.zeros((2, 3)), params)
-    with pytest.raises(CircleRopeError, match=r"need a \(8,\) key .* got \(8,\) and \(2, 2\)"):
-        rotate_key(np.ones(8), np.zeros((2, 2)), params)
 
 
 # Tolerance of the relative-position property: angles reach 400 rad, where the

@@ -72,10 +72,6 @@ class TestApplyRotary:
         out = apply_rotary(np.array([1.0, 0.0]), np.array([math.pi / 2]))
         assert out == pytest.approx([0.0, 1.0], abs=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(CircleRopeError, match=r"vector dim 6 != 2 \* 2 angles"):
-            apply_rotary(np.zeros(6), np.zeros(2))
-
     def test_broadcast_input_gives_c_contiguous_output(self):
         # a stride-0 input must not leak its layout into the result, or a
         # matmul over the rotated rows sums in another order
